@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +22,7 @@ from typing import Any, Callable, Sequence
 
 from . import __version__
 from . import oracles, reductions, verify
+from .caps import budget
 from .ensembles import sample_er, sample_pattern, sample_planted
 from .errors import BudgetExceeded, CapExceeded, InfeasibleError
 from .formats import (
@@ -148,31 +148,9 @@ def _ids(spec: str) -> tuple[int, ...]:
 
 
 def _with_budget(budget_ms: int | None, label: str, fn: Callable[[], Any]) -> Any:
-    """Run fn, aborting with BudgetExceeded when it overstays budget_ms.
-
-    The worker runs on a daemon thread; on timeout the process exits and the
-    thread dies with it, so no partial output is ever written.
-    """
-    if budget_ms is None:
+    """Call fn under a budget_ms budget; an overrun stops it before any output."""
+    with budget(budget_ms, label):
         return fn()
-    box: dict[str, Any] = {}
-
-    def run() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-            box["error"] = exc
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(budget_ms / 1000.0)
-    if worker.is_alive():
-        raise BudgetExceeded(
-            f"{label} exceeded the {budget_ms} ms budget; no verdict reached"
-        )
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
 
 
 # -- gen ---------------------------------------------------------------------------
@@ -274,7 +252,7 @@ def _solve_payload(args: argparse.Namespace) -> dict[str, Any]:
         return {"solution": list(vs), "size": len(vs)}
     if p == "detect-pattern":
         h = _load_graph_file(args.pattern)
-        mapping = oracles.detect_pattern(g, h, args.induced, budget_ms=args.budget_ms)
+        mapping = oracles.detect_pattern(g, h, args.induced)
         return {
             "found": mapping is not None,
             "mapping": None if mapping is None else list(mapping),
@@ -308,13 +286,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     cfg = _config_from_args(args, f"solve {args.problem}")
     t0 = time.perf_counter()
-    if args.problem == "detect-pattern":
-        # detect_pattern polls its own budget; no wrapper thread needed.
-        payload = _solve_payload(args)
-    else:
-        payload = _with_budget(
-            args.budget_ms, f"solve {args.problem}", lambda: _solve_payload(args)
-        )
+    payload = _with_budget(
+        args.budget_ms, f"solve {args.problem}", lambda: _solve_payload(args)
+    )
     payload["problem"] = args.problem
     payload["run"] = cfg.to_json_dict()
     _emit_json(args.out, payload)

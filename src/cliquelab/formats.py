@@ -235,8 +235,13 @@ def load_steiner(text: str) -> SteinerForestInstance:
     d = json.loads(text)
     if d.get("type") != "steiner-k-forest":
         raise ValueError(f"expected type steiner-k-forest, got {d.get('type')!r}")
-    g = Graph(d["n"], [tuple(e) for e in d["edges"]])
-    weights = tuple(parse_weight(w) for w in d["weights"])
+    # weights align with the graph's sorted edges: orient u < v, sort, keep pairs
+    pairs = sorted(
+        ((min(u, v), max(u, v)), parse_weight(w))
+        for (u, v), w in zip(d["edges"], d["weights"], strict=True)
+    )
+    g = Graph(d["n"], [e for e, _ in pairs])
+    weights = tuple(w for _, w in pairs)
     demands = tuple(tuple(p) for p in d["demands"])
     return SteinerForestInstance(graph=g, weights=weights, demands=demands, k=d["k"])
 

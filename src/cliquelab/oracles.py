@@ -11,30 +11,16 @@ feasibility check before being handed back.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .caps import VERTEX_CAP, check_enum
-from .errors import CapExceeded, InfeasibleError, PatternSearchTimeout
-from .graph import Graph, Hypergraph, Weight, WeightedDigraph
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _check_vertex_cap(g: Graph) -> None:
-    if g.n > VERTEX_CAP:
-        raise CapExceeded(f"oracle limited to {VERTEX_CAP} vertices, got {g.n}")
+from .caps import budget, check_budget, check_enum
+from .errors import BudgetExceeded, InfeasibleError, PatternSearchTimeout
+from .graph import Graph, Hypergraph, WeightedDigraph, _bits
 
 
 # -- cliques -------------------------------------------------------------------
@@ -59,12 +45,12 @@ def _color_bound(rows: Sequence[int], candidates: int) -> int:
 
 def max_clique(g: Graph) -> tuple[int, ...]:
     """Lexicographically least maximum clique."""
-    _check_vertex_cap(g)
     rows = [g.row(u) for u in range(g.n)]
     best: list[int] = []
 
     def dfs(clique: list[int], candidates: int) -> None:
         nonlocal best
+        check_budget()
         if len(clique) + _color_bound(rows, candidates) <= len(best):
             return
         for v in _bits(candidates):
@@ -99,6 +85,7 @@ def _clique_dfs(rows: Sequence[int], n: int, r: int, collect: list | None) -> in
 
     def rec(prefix: list[int], candidates: int, depth: int) -> None:
         nonlocal count
+        check_budget()
         if depth == r:
             count += 1
             if collect is not None:
@@ -107,7 +94,7 @@ def _clique_dfs(rows: Sequence[int], n: int, r: int, collect: list | None) -> in
         for v in _bits(candidates):
             higher = ~((1 << (v + 1)) - 1)
             nxt = candidates & rows[v] & higher
-            if bin(nxt).count("1") < r - depth - 1:
+            if nxt.bit_count() < r - depth - 1:
                 continue
             prefix.append(v)
             rec(prefix, nxt, depth + 1)
@@ -150,7 +137,6 @@ def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
     """Exact maximizer of induced edges over k-subsets, lex-least witness."""
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= {g.n}, got {k}")
-    _check_vertex_cap(g)
     check_enum(math.comb(g.n, k), "k-subset search")
     rows = [g.row(u) for u in range(g.n)]
     best_set: tuple[int, ...] | None = None
@@ -158,6 +144,7 @@ def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
 
     def dfs(chosen: list[int], mask: int, edges: int, start: int) -> None:
         nonlocal best_set, best_edges
+        check_budget()
         if len(chosen) == k:
             if edges > best_edges:
                 best_edges = edges
@@ -167,12 +154,12 @@ def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
         pool = list(range(start, g.n))
         if len(pool) < r:
             return
-        gains = sorted((bin(rows[v] & mask).count("1") for v in pool), reverse=True)
+        gains = sorted(((rows[v] & mask).bit_count() for v in pool), reverse=True)
         bound = edges + sum(gains[:r]) + r * (r - 1) // 2
         if bound <= best_edges:
             return
         for v in pool:
-            add = bin(rows[v] & mask).count("1")
+            add = (rows[v] & mask).bit_count()
             chosen.append(v)
             dfs(chosen, mask | (1 << v), edges + add, v + 1)
             chosen.pop()
@@ -181,7 +168,7 @@ def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
             if g.n - (v + 1) < r2:
                 return
             gains = sorted(
-                (bin(rows[w] & mask).count("1") for w in range(v + 1, g.n)),
+                ((rows[w] & mask).bit_count() for w in range(v + 1, g.n)),
                 reverse=True,
             )
             if edges + sum(gains[:r2]) + r2 * (r2 - 1) // 2 <= best_edges:
@@ -195,12 +182,13 @@ def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
 
 
 def _den_leq4_closed_form(g: Graph, k: int) -> Fraction:
-    """Exact max of |E[S]|/|S| over |S| <= k for k <= 4119, via case analysis.
+    """Exact max of |E[S]|/|S| over |S| <= k for k <= 4, via case analysis.
 
     Densities realizable on at most 4 vertices order as
     3/2 (K4) > 5/4 (K4 minus an edge) > 1 (triangle, or 4-cycle) >
     3/4 (3 edges on 4 vertices) > 2/3 (path on 3) > 1/2 (edge) > 0,
-    and each case reduces to a degree or common-neighbor test.
+    and each case reduces to a degree or common-neighbor test.  With no search
+    loop, the budget is checked only around the common-neighbor product.
     """
     if g.m == 0:
         return Fraction(0)
@@ -210,7 +198,9 @@ def _den_leq4_closed_form(g: Graph, k: int) -> Fraction:
         return Fraction(1, 2)
     adj = g.to_bool_matrix()
     deg = adj.sum(axis=1)
+    check_budget()
     common = (adj.astype(np.int64) @ adj.astype(np.int64)).astype(np.int64)
+    check_budget()
     has_triangle = bool((common[adj] >= 1).any())
     if k == 3:
         if has_triangle:
@@ -277,6 +267,7 @@ def _find_balanced_biclique(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[in
 
     def dfs(chosen: list[int], common: int, start: int) -> bool:
         nonlocal result
+        check_budget()
         if len(chosen) == t:
             members = _bits(common)[:t]
             result = (tuple(chosen), tuple(members))
@@ -285,7 +276,7 @@ def _find_balanced_biclique(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[in
             if g.n - v < t - len(chosen):
                 return False
             nxt = common & rows[v]
-            if bin(nxt).count("1") < t:
+            if nxt.bit_count() < t:
                 continue
             chosen.append(v)
             if dfs(chosen, nxt, v + 1):
@@ -304,7 +295,6 @@ def max_balanced_biclique(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Sides need not be independent sets.  The first maximum in ascending
     include-first order is returned, which makes A the lex-least side.
     """
-    _check_vertex_cap(g)
     best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
     t = 1
     while 2 * t <= g.n:
@@ -334,8 +324,9 @@ def count_bicliques(g: Graph, ell: int) -> int:
 
     def dfs(depth: int, common: int, start: int) -> None:
         nonlocal total
+        check_budget()
         if depth == ell:
-            c = bin(common).count("1")
+            c = common.bit_count()
             if c >= ell:
                 total += math.comb(c, ell)
             return
@@ -344,7 +335,7 @@ def count_bicliques(g: Graph, ell: int) -> int:
                 return
             nxt = common & rows[v]
             # the common set only shrinks along a branch; C(<ell, ell) = 0
-            if bin(nxt).count("1") < ell:
+            if nxt.bit_count() < ell:
                 continue
             dfs(depth + 1, nxt, v + 1)
 
@@ -359,23 +350,7 @@ def contains_ktt(g: Graph, t: int) -> bool:
     if 2 * t > g.n:
         return False
     check_enum(math.comb(g.n, t), "biclique side enumeration")
-    rows = [g.row(u) for u in range(g.n)]
-    full = (1 << g.n) - 1
-
-    def dfs(depth: int, common: int, start: int) -> bool:
-        if depth == t:
-            return True
-        for v in range(start, g.n):
-            if g.n - v < t - depth:
-                return False
-            nxt = common & rows[v]
-            if bin(nxt).count("1") < t:
-                continue
-            if dfs(depth + 1, nxt, v + 1):
-                return True
-        return False
-
-    return dfs(0, full, 0)
+    return _find_balanced_biclique(g, t) is not None
 
 
 # -- smallest k-edge subgraph ------------------------------------------------------
@@ -389,13 +364,13 @@ def smallest_k_edge_subgraph(g: Graph, k: int) -> tuple[int, ...]:
         return ()
     if g.m < k:
         raise InfeasibleError(f"graph has {g.m} < {k} edges")
-    _check_vertex_cap(g)
     rows = [g.row(u) for u in range(g.n)]
 
     def attempt(size: int) -> tuple[int, ...] | None:
         check_enum(math.comb(g.n, size), "subset search")
 
         def dfs(chosen: list[int], mask: int, edges: int, start: int):
+            check_budget()
             if len(chosen) == size:
                 return tuple(chosen) if edges >= k else None
             r = size - len(chosen)
@@ -403,12 +378,12 @@ def smallest_k_edge_subgraph(g: Graph, k: int) -> tuple[int, ...]:
             if len(pool) < r:
                 return None
             gains = sorted(
-                (bin(rows[v] & mask).count("1") for v in pool), reverse=True
+                ((rows[v] & mask).bit_count() for v in pool), reverse=True
             )
             if edges + sum(gains[:r]) + r * (r - 1) // 2 < k:
                 return None
             for v in pool:
-                add = bin(rows[v] & mask).count("1")
+                add = (rows[v] & mask).bit_count()
                 chosen.append(v)
                 hit = dfs(chosen, mask | (1 << v), edges + add, v + 1)
                 chosen.pop()
@@ -459,8 +434,12 @@ class SteinerForestInstance:
         if not 0 <= self.k <= len(self.demands):
             raise ValueError(f"need 0 <= k <= {len(self.demands)}")
 
+    @cached_property
+    def _weight_by_edge(self) -> dict[tuple[int, int], Fraction]:
+        return dict(zip(self.graph.edges(), self.weights))
+
     def weight_of(self, edge: tuple[int, int]) -> Fraction:
-        return self.weights[self.graph.edges().index(edge)]
+        return self._weight_by_edge[edge]
 
 
 class _UnionFind:
@@ -511,6 +490,7 @@ def steiner_k_forest(
 
     def dfs(idx: int, chosen: list[int], cost: Fraction) -> None:
         nonlocal best_cost, best_size, best_set
+        check_budget()
         if best_cost is not None and (
             cost > best_cost or (cost == best_cost and len(chosen) >= best_size)
         ):
@@ -660,6 +640,7 @@ def directed_steiner_network(
 
     def dfs(idx: int, chosen: list[int], cost: Fraction) -> None:
         nonlocal best_cost, best_size, best_chosen
+        check_budget()
         lb = lower_bound(chosen, idx)
         if lb < 0:
             return
@@ -716,12 +697,13 @@ def densest_k_subhypergraph(
         for v in e:
             m |= 1 << v
         masks.append(m)
-    small = [m for m in masks if bin(m).count("1") <= k]
+    small = [m for m in masks if m.bit_count() <= k]
     best_set: tuple[int, ...] | None = None
     best_count = -1
 
     def dfs(chosen: list[int], mask: int, start: int) -> None:
         nonlocal best_set, best_count
+        check_budget()
         if len(chosen) == k:
             count = sum(1 for m in small if m & ~mask == 0)
             if count > best_count:
@@ -758,14 +740,14 @@ def detect_pattern(
 
     Non-induced: h-edges must map to g-edges.  Induced: h-non-edges must map
     to g-non-edges as well.  Returns the mapping as a tuple indexed by h's
-    vertices, or None when no copy exists.  A budget overrun raises instead
-    of returning None: absence was not established.
+    vertices, or None when no copy exists.  A budget overrun, whether
+    budget_ms or an enclosing budget scope set it, raises PatternSearchTimeout
+    instead of returning None: absence was not established.
     """
     if h.n > g.n:
         return None
     if h.n == 0:
         return ()
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     # static order: h-vertices by descending degree, index as tie-break
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
     assign: dict[int, int] = {}
@@ -784,10 +766,7 @@ def detect_pattern(
         return True
 
     def dfs(depth: int) -> bool:
-        if deadline is not None and time.monotonic() > deadline:
-            raise PatternSearchTimeout(
-                f"pattern search exceeded {budget_ms} ms; absence was NOT established"
-            )
+        check_budget()
         if depth == h.n:
             return True
         hv = order[depth]
@@ -802,7 +781,12 @@ def detect_pattern(
             used.remove(gv)
         return False
 
-    if not dfs(0):
+    try:
+        with budget(budget_ms, "pattern search"):
+            found = dfs(0)
+    except BudgetExceeded as exc:
+        raise PatternSearchTimeout(f"{exc}; absence was NOT established") from None
+    if not found:
         return None
     mapping = tuple(assign[v] for v in range(h.n))
     assert len(set(mapping)) == h.n

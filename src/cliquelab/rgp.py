@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .caps import MATERIALIZE_CAP, check_enum
+from .caps import VERTEX_CAP, enum_cap
 from .ensembles import Seed, as_fraction, as_seed, uniform_subset
 from .errors import CapExceeded
 from .exactmath import (
@@ -129,11 +129,8 @@ def product_graph(g: Graph, fam: SubsetFamily) -> Graph:
     if fam.source_n != g.n:
         raise ValueError("family was drawn from a different vertex count")
     N = fam.N
-    if N > MATERIALIZE_CAP:
-        raise CapExceeded(
-            f"product on {N} vertices exceeds the materialization cap {MATERIALIZE_CAP}"
-        )
-    check_enum(N * (N - 1) // 2, "product graph pair sweep")
+    if N > VERTEX_CAP:
+        raise CapExceeded(f"product on {N} vertices exceeds the vertex cap {VERTEX_CAP}")
     member = fam.member_words()
     common = _common_allowed_words(g, fam)
     w = member.shape[1]
@@ -395,7 +392,8 @@ def check_disperser(
     partial union already as large as the largest applicable threshold cannot
     shrink, so no extension violates.  The worst-ratio diagnostic is exact for
     |M| in {1, 2} (always swept) and otherwise covers the nodes the search
-    actually expanded.
+    actually expanded.  Exhaustive mode raises CapExceeded as soon as it has
+    expanded more nodes than the enumeration cap.
     """
     delta = as_fraction(delta)
     if not 0 < delta < 1:
@@ -461,8 +459,7 @@ def check_disperser(
                         note((i, j), pop)
 
     if mode == "exhaustive":
-        total = sum(math.comb(N, t) for t in range(1, T + 1))
-        check_enum(total, "exhaustive disperser sweep")
+        cap = enum_cap()
         thr_max = threshold(T)
 
         def dfs(start: int, members: list[int], union: int, size: int) -> None:
@@ -472,16 +469,18 @@ def check_disperser(
                 s2 = u2.bit_count()
                 t2 = len(members) + 1
                 nodes += 1
+                if nodes > cap:
+                    raise CapExceeded(
+                        f"exhaustive disperser sweep passed the cap of {cap} nodes "
+                        f"(override with CLIQUELAB_CAP)"
+                    )
                 if t2 > 2:  # depths 1 and 2 already swept exactly
                     note(tuple(members + [idx]), s2)
                 if t2 < T and s2 < thr_max:
                     dfs(idx + 1, members + [idx], u2, s2)
 
         if T > 2:
-            for idx in range(N):
-                nodes += 1
-                if sizes[idx] < thr_max:
-                    dfs(idx + 1, [idx], masks[idx], sizes[idx])
+            dfs(0, [], 0, 0)
         # Depth <= 2 violations were found in the exact sweep above.
     elif mode == "sampled":
         if seed is None:
@@ -494,11 +493,8 @@ def check_disperser(
             for i in members:
                 union |= masks[i]
             nodes += 1
-            if t > 2:
+            if t > 2:  # t <= 2 was swept exactly; it still counts as a sample
                 note(members, union.bit_count())
-            else:
-                # already exact for t <= 2; still counts as a sample
-                pass
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
 

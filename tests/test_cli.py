@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+import time
 
 import pytest
 
@@ -151,6 +153,27 @@ def test_solve_budget_exhaustion_exits_4(tmp_path):
     assert main(argv) == 4
 
 
+def test_solve_budget_stops_the_search(tmp_path):
+    # max-clique on G(500, 1/2) runs for well over 20 s unbudgeted
+    path = str(tmp_path / "g.txt")
+    assert main(["gen", "er", "--n", "500", "--seed", "7", "--out", path]) == 0
+    threads = threading.active_count()
+    argv = ["solve", "max-clique", "--in", path, "--budget-ms", "200"]
+    assert main(argv) == 4
+    assert threading.active_count() == threads
+    cpu = time.process_time()
+    time.sleep(1.0)
+    assert time.process_time() - cpu < 0.2  # no search left running
+
+
+def test_solve_budget_stops_count_cliques(tmp_path):
+    # 4-cliques of G(200, 1/2): about a million, several seconds to count
+    path = str(tmp_path / "g.txt")
+    assert main(["gen", "er", "--n", "200", "--seed", "7", "--out", path]) == 0
+    argv = ["solve", "count-cliques", "--in", path, "--r", "4", "--budget-ms", "50"]
+    assert main(argv) == 4
+
+
 def test_solve_den_leq_k_value(tmp_path, capsys):
     path = _write_graph(tmp_path / "g.txt", Graph.complete(4))
     assert main(["solve", "den-leq-k", "--in", path, "--k", "4"]) == 0
@@ -242,6 +265,24 @@ def test_verify_threads_flag_does_not_change_bytes(tmp_path):
             [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         )
     assert outs[0] == outs[1]
+
+
+_DISPERSER_N300 = [
+    "verify", "disperser", "--n", "100", "--ell", "2", "--N", "300",
+    "--delta", "1/2", "--max-set-size", "4", "--trials", "1", "--seed", "1",
+]
+
+
+def test_verify_disperser_cap_counts_nodes_not_subsets(tmp_path, monkeypatch):
+    # sum of C(300, t) for t <= 4 is about 3.4e8, above the default cap, but
+    # the search expands only about 300 nodes
+    monkeypatch.delenv("CLIQUELAB_CAP", raising=False)
+    assert main(_DISPERSER_N300 + ["--out-json", str(tmp_path / "d.json")]) == 0
+
+
+def test_verify_disperser_small_cap_exits_4(tmp_path, monkeypatch):
+    monkeypatch.setenv("CLIQUELAB_CAP", "100")
+    assert main(_DISPERSER_N300 + ["--out-json", str(tmp_path / "d.json")]) == 4
 
 
 def _doctored(verdict: str) -> TrialReport:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from _util import random_graph
 from cliquelab.formats import (
@@ -24,8 +25,9 @@ from cliquelab.formats import (
     parse_meta,
     parse_weight,
 )
+from cliquelab.errors import InfeasibleError
 from cliquelab.graph import Graph, Hypergraph, WeightedDigraph
-from cliquelab.oracles import DsnInstance, SteinerForestInstance
+from cliquelab.oracles import DsnInstance, SteinerForestInstance, steiner_k_forest
 from cliquelab.rgp import SubsetFamily
 
 
@@ -118,6 +120,43 @@ def test_steiner_round_trip():
     assert load_steiner(dump_steiner(inst)) == inst
     with pytest.raises(ValueError):
         load_dsn(dump_steiner(inst))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_steiner_load_canonicalizes_edge_order(data):
+    n = data.draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=7, unique=True))
+    weight = {e: Fraction(data.draw(st.integers(0, 9))) for e in edges}
+    demands = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+    k = data.draw(st.integers(1, len(demands)))
+    shuffled = data.draw(st.permutations(edges))
+    flipped = [e[::-1] if data.draw(st.booleans()) else e for e in shuffled]
+    text = json.dumps({
+        "type": "steiner-k-forest",
+        "n": n,
+        "edges": [list(e) for e in flipped],
+        "weights": [format_weight(weight[tuple(sorted(e))]) for e in flipped],
+        "demands": [list(d) for d in demands],
+        "k": k,
+    })
+    canonical = SteinerForestInstance(
+        graph=Graph(n, edges),
+        weights=tuple(weight[e] for e in sorted(edges)),
+        demands=tuple(demands),
+        k=k,
+    )
+    loaded = load_steiner(text)
+    assert loaded == canonical
+    try:
+        forest, cost = steiner_k_forest(loaded)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            steiner_k_forest(canonical)
+        return
+    assert cost == sum((weight[e] for e in forest), Fraction(0))
+    assert cost == steiner_k_forest(canonical)[1]
 
 
 def test_dsn_round_trip():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _util import random_graph
+from cliquelab.caps import budget
 from cliquelab.errors import CapExceeded, InfeasibleError, PatternSearchTimeout
 from cliquelab.graph import Graph, Hypergraph, WeightedDigraph, induced_subgraph
 from cliquelab.oracles import (
@@ -464,6 +465,18 @@ def test_detect_pattern_budget():
     )
     h = Graph.empty(13)
     with pytest.raises(PatternSearchTimeout):
+        detect_pattern(g, h, induced=True, budget_ms=50)
+
+
+def test_detect_pattern_times_out_under_enclosing_budget():
+    g = random_graph(50, 0.5, random.Random(1))
+    h = Graph.empty(13)
+    with budget(50, "outer"), pytest.raises(PatternSearchTimeout):
+        detect_pattern(g, h, induced=True)
+    # a nested budget scope can tighten the deadline in force, never extend it
+    with budget(50, "outer"), pytest.raises(PatternSearchTimeout):
+        detect_pattern(g, h, induced=True, budget_ms=60_000)
+    with budget(60_000, "outer"), pytest.raises(PatternSearchTimeout):
         detect_pattern(g, h, induced=True, budget_ms=50)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _util import random_graph
+from cliquelab.caps import VERTEX_CAP
 from cliquelab.errors import CapExceeded
 from cliquelab.graph import Graph, is_clique
 from cliquelab.rgp import (
@@ -241,13 +242,7 @@ def test_disperser_validation():
         check_disperser(fam, Fraction(1, 2), 99)
 
 
-def test_product_respects_materialize_cap(monkeypatch):
-    import importlib
-
-    # the package re-exports the rgp() callable under the submodule's name,
-    # so fetch the module itself for patching
-    rgp_mod = importlib.import_module("cliquelab.rgp")
-    monkeypatch.setattr(rgp_mod, "MATERIALIZE_CAP", 10)
+def test_product_refuses_above_vertex_cap():
     g = Graph.complete(3)
     with pytest.raises(CapExceeded):
-        rgp_mod.product_graph(g, sample_family(3, 11, 2, 0))
+        product_graph(g, sample_family(3, VERTEX_CAP + 1, 2, 0))
