@@ -1,9 +1,9 @@
-"""Safety caps for exact enumeration and graph size, and the search budget.
+"""Safety caps on graph size and exact arithmetic, and the one search budget.
 
-All enumeration-style oracles estimate their work up front and refuse to run
-past the cap instead of hanging.  CLIQUELAB_CAP overrides the enumeration cap.
-Wall-clock budgets are cooperative: every search polls check_budget() at each
-recursive step, so an overrun stops the search on the thread that runs it.
+A budget scope counts the nodes its searches expand against the enumeration
+cap (CLIQUELAB_CAP) and may hold a wall-clock deadline.  Every search polls
+check_budget() at each node it expands, so either overrun stops the search on
+the thread that runs it, and no search is refused on an up-front estimate.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ DEFAULT_ENUM_CAP = 10**8
 # Exact big-integer results larger than this many bits are refused.
 BIGINT_BIT_CAP = 2**33
 
-# (monotonic deadline, budget in ms, what runs) of the budget scope in force
-_DEADLINE: ContextVar[tuple | None] = ContextVar("cliquelab_deadline", default=None)
+# (what runs, (monotonic deadline, budget in ms, what set it) or None, node cap,
+# [nodes expanded]) of the budget scope in force; nested scopes share the list
+_SCOPE: ContextVar[tuple | None] = ContextVar("cliquelab_budget", default=None)
 
 
 def enum_cap() -> int:
@@ -41,36 +42,36 @@ def enum_cap() -> int:
     return value
 
 
-def check_enum(count: int, what: str) -> None:
-    """Refuse enumerations whose size estimate exceeds the cap."""
-    cap = enum_cap()
-    if count > cap:
-        raise CapExceeded(
-            f"{what} needs {count} enumeration steps, above the cap {cap} "
-            f"(override with CLIQUELAB_CAP)"
-        )
-
-
 @contextmanager
 def budget(budget_ms: int | None, what: str) -> Iterator[None]:
-    """Give the searches run in this scope budget_ms of wall-clock time.
+    """Count the nodes the searches in this scope expand; give them budget_ms.
 
-    None opens no budget; a nested scope keeps the earlier deadline.
+    The outermost scope reads enum_cap() and owns the count; a nested scope
+    shares it and keeps the earlier deadline.  None sets no deadline.
     """
-    if budget_ms is None:
-        yield
-        return
-    limit = (time.monotonic() + budget_ms / 1000.0, budget_ms, what)
-    token = _DEADLINE.set(min(_DEADLINE.get() or limit, limit))
+    _, limit, cap, nodes = _SCOPE.get() or (None, None, enum_cap(), [0])
+    if budget_ms is not None:
+        mine = (time.monotonic() + budget_ms / 1000.0, budget_ms, what)
+        limit = min(limit or mine, mine)
+    token = _SCOPE.set((what, limit, cap, nodes))
     try:
         yield
     finally:
-        _DEADLINE.reset(token)
+        _SCOPE.reset(token)
 
 
-def check_budget() -> None:
-    """Raise BudgetExceeded once the deadline of the current scope has passed."""
-    limit = _DEADLINE.get()
+def check_budget(steps: int = 1) -> None:
+    """Count steps nodes in the scope in force, if any; raise once past its
+    cap (CapExceeded) or its deadline (BudgetExceeded)."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return
+    what, limit, cap, nodes = scope
+    nodes[0] += steps
+    if nodes[0] > cap:
+        raise CapExceeded(
+            f"{what} passed the cap of {cap} search nodes (override with CLIQUELAB_CAP)"
+        )
     if limit is not None and time.monotonic() > limit[0]:
         raise BudgetExceeded(
             f"{limit[2]} exceeded the {limit[1]} ms budget; no verdict reached"

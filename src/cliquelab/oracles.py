@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .caps import budget, check_budget, check_enum
+from .caps import budget, check_budget
 from .errors import BudgetExceeded, InfeasibleError, PatternSearchTimeout
 from .graph import Graph, Hypergraph, WeightedDigraph, _bits
 
@@ -67,7 +67,8 @@ def max_clique(g: Graph) -> tuple[int, ...]:
                 return
 
     if g.n:
-        dfs([], (1 << g.n) - 1)
+        with budget(None, "clique search"):
+            dfs([], (1 << g.n) - 1)
         if not best:
             best = [0]  # single vertex is a clique in a non-empty graph
     result = tuple(best)
@@ -114,8 +115,8 @@ def count_cliques(g: Graph, r: int) -> int:
         raise ValueError("r must be non-negative")
     if r > g.n:
         return 0
-    check_enum(math.comb(g.n, r), f"{r}-clique enumeration")
-    return _clique_dfs([g.row(u) for u in range(g.n)], g.n, r, None)
+    with budget(None, f"{r}-clique enumeration"):
+        return _clique_dfs([g.row(u) for u in range(g.n)], g.n, r, None)
 
 
 def clique_list(g: Graph, r: int) -> list[tuple[int, ...]]:
@@ -124,9 +125,9 @@ def clique_list(g: Graph, r: int) -> list[tuple[int, ...]]:
         raise ValueError("r must be non-negative")
     if r > g.n:
         return []
-    check_enum(math.comb(g.n, r), f"{r}-clique enumeration")
     out: list[tuple[int, ...]] = []
-    _clique_dfs([g.row(u) for u in range(g.n)], g.n, r, out)
+    with budget(None, f"{r}-clique enumeration"):
+        _clique_dfs([g.row(u) for u in range(g.n)], g.n, r, out)
     return out
 
 
@@ -137,7 +138,6 @@ def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
     """Exact maximizer of induced edges over k-subsets, lex-least witness."""
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= {g.n}, got {k}")
-    check_enum(math.comb(g.n, k), "k-subset search")
     rows = [g.row(u) for u in range(g.n)]
     best_set: tuple[int, ...] | None = None
     best_edges = -1
@@ -174,7 +174,8 @@ def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
             if edges + sum(gains[:r2]) + r2 * (r2 - 1) // 2 <= best_edges:
                 return
 
-    dfs([], 0, 0, 0)
+    with budget(None, "k-subset search"):
+        dfs([], 0, 0, 0)
     assert best_set is not None
     recount = g.induced(best_set).m
     assert recount == best_edges
@@ -238,9 +239,9 @@ def den_leq_k(g: Graph, k: int) -> Fraction:
     k = min(k, g.n)
     if k == 0:
         raise ValueError("graph is empty")
-    if k <= 4:
-        value = _den_leq4_closed_form(g, k)
-    else:
+    with budget(None, "density search"):
+        if k <= 4:
+            return _den_leq4_closed_form(g, k)
         value = Fraction(0)
         for s in range(1, k + 1):
             _, edges = densest_k_subgraph(g, s)
@@ -296,13 +297,12 @@ def max_balanced_biclique(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     include-first order is returned, which makes A the lex-least side.
     """
     best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-    t = 1
-    while 2 * t <= g.n:
-        found = _find_balanced_biclique(g, t)
-        if found is None:
-            break
-        best = found
-        t += 1
+    with budget(None, "biclique side enumeration"):
+        for t in range(1, g.n // 2 + 1):
+            found = _find_balanced_biclique(g, t)
+            if found is None:
+                break
+            best = found
     assert is_biclique(g, best[0], best[1])
     assert len(best[0]) == len(best[1])
     return best
@@ -317,7 +317,6 @@ def count_bicliques(g: Graph, ell: int) -> int:
         raise ValueError("ell must be positive")
     if ell > g.n:
         return 0
-    check_enum(math.comb(g.n, ell), "biclique side enumeration")
     rows = [g.row(u) for u in range(g.n)]
     full = (1 << g.n) - 1
     total = 0
@@ -339,7 +338,8 @@ def count_bicliques(g: Graph, ell: int) -> int:
                 continue
             dfs(depth + 1, nxt, v + 1)
 
-    dfs(0, full, 0)
+    with budget(None, "biclique side enumeration"):
+        dfs(0, full, 0)
     return total
 
 
@@ -349,8 +349,8 @@ def contains_ktt(g: Graph, t: int) -> bool:
         raise ValueError("t must be positive")
     if 2 * t > g.n:
         return False
-    check_enum(math.comb(g.n, t), "biclique side enumeration")
-    return _find_balanced_biclique(g, t) is not None
+    with budget(None, "biclique side enumeration"):
+        return _find_balanced_biclique(g, t) is not None
 
 
 # -- smallest k-edge subgraph ------------------------------------------------------
@@ -367,8 +367,6 @@ def smallest_k_edge_subgraph(g: Graph, k: int) -> tuple[int, ...]:
     rows = [g.row(u) for u in range(g.n)]
 
     def attempt(size: int) -> tuple[int, ...] | None:
-        check_enum(math.comb(g.n, size), "subset search")
-
         def dfs(chosen: list[int], mask: int, edges: int, start: int):
             check_budget()
             if len(chosen) == size:
@@ -396,11 +394,12 @@ def smallest_k_edge_subgraph(g: Graph, k: int) -> tuple[int, ...]:
     lo = 2
     while math.comb(lo, 2) < k:
         lo += 1
-    for size in range(lo, g.n + 1):
-        hit = attempt(size)
-        if hit is not None:
-            assert g.induced(hit).m >= k
-            return hit
+    with budget(None, "subset search"):
+        for size in range(lo, g.n + 1):
+            hit = attempt(size)
+            if hit is not None:
+                assert g.induced(hit).m >= k
+                return hit
     raise InfeasibleError("unreachable: whole vertex set must induce >= k edges")
 
 
@@ -482,7 +481,6 @@ def steiner_k_forest(
         raise InfeasibleError(
             f"even the full graph connects fewer than {inst.k} demand pairs"
         )
-    check_enum(1 << min(len(edges), 62), "edge subset search")
     m = len(edges)
     best_cost: Fraction | None = None
     best_size = 0
@@ -509,7 +507,8 @@ def steiner_k_forest(
         chosen.pop()
         dfs(idx + 1, chosen, cost)
 
-    dfs(0, [], Fraction(0))
+    with budget(None, "edge subset search"):
+        dfs(0, [], Fraction(0))
     assert best_cost is not None
     assert satisfied_demands(n, best_set, inst.demands) >= inst.k
     assert sum((inst.weight_of(e) for e in best_set), Fraction(0)) == best_cost
@@ -602,7 +601,6 @@ def directed_steiner_network(
     pos = [(u, v, w) for u, v, w in d.arcs() if w > 0]
     if not _arcs_satisfy(n, [(u, v) for u, v, _ in d.arcs()], inst.demands):
         raise InfeasibleError("some demand is unreachable even in the full digraph")
-    check_enum(1 << min(len(pos), 62), "arc subset search")
 
     sources = {s for s, t in inst.demands if s != t}
     sinks = {t for s, t in inst.demands if s != t}
@@ -669,7 +667,8 @@ def directed_steiner_network(
         chosen.pop()
         dfs(idx + 1, chosen, cost)
 
-    dfs(0, [], Fraction(0))
+    with budget(None, "arc subset search"):
+        dfs(0, [], Fraction(0))
     assert best_cost is not None
     chosen_arcs = {(pos[i][0], pos[i][1]) for i in best_chosen}
     usable = set(zero) | chosen_arcs
@@ -690,7 +689,6 @@ def densest_k_subhypergraph(
     """k-subset containing the most hyperedges entirely; lex-least witness."""
     if not 1 <= k <= h.n:
         raise ValueError(f"need 1 <= k <= {h.n}, got {k}")
-    check_enum(math.comb(h.n, k), "k-subset search")
     masks = []
     for e in h.edges:
         m = 0
@@ -723,7 +721,8 @@ def densest_k_subhypergraph(
             dfs(chosen, mask | (1 << v), v + 1)
             chosen.pop()
 
-    dfs([], 0, 0)
+    with budget(None, "k-subset search"):
+        dfs([], 0, 0)
     assert best_set is not None
     recount = len(h.edges_inside(best_set))
     assert recount == best_count

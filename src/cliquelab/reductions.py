@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Sequence
 
-from .caps import check_enum
+from .caps import budget, check_budget
 from .ensembles import Seed, as_seed
 from .errors import InfeasibleError
 from .exactmath import exp_neg_upper, iroot_floor
@@ -85,14 +85,15 @@ def dks_via_skes(
     s = tuple(sorted(set(skes_solution)))
     if len(s) < k or k < 1:
         raise ValueError(f"need 1 <= k <= |S|={len(s)}")
-    check_enum(math.comb(len(s), k), "k-subsets of the SkES solution")
     best: tuple[int, ...] | None = None
     best_edges = -1
-    for cand in combinations(s, k):
-        e = g.induced(cand).m
-        if e > best_edges:
-            best_edges = e
-            best = cand
+    with budget(None, "k-subsets of the SkES solution"):
+        check_budget(math.comb(len(s), k))  # exact, charged before enumerating
+        for cand in combinations(s, k):
+            e = g.induced(cand).m
+            if e > best_edges:
+                best_edges = e
+                best = cand
     assert best is not None
     if len(s) > 1:
         total = g.induced(s).m

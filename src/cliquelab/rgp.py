@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .caps import VERTEX_CAP, enum_cap
+from .caps import VERTEX_CAP, budget, check_budget
 from .ensembles import Seed, as_fraction, as_seed, uniform_subset
 from .errors import CapExceeded
 from .exactmath import (
@@ -392,8 +392,8 @@ def check_disperser(
     partial union already as large as the largest applicable threshold cannot
     shrink, so no extension violates.  The worst-ratio diagnostic is exact for
     |M| in {1, 2} (always swept) and otherwise covers the nodes the search
-    actually expanded.  Exhaustive mode raises CapExceeded as soon as it has
-    expanded more nodes than the enumeration cap.
+    actually expanded.  Exhaustive mode counts the nodes it expands in the
+    budget scope, so it raises CapExceeded once they pass the enumeration cap.
     """
     delta = as_fraction(delta)
     if not 0 < delta < 1:
@@ -459,7 +459,6 @@ def check_disperser(
                         note((i, j), pop)
 
     if mode == "exhaustive":
-        cap = enum_cap()
         thr_max = threshold(T)
 
         def dfs(start: int, members: list[int], union: int, size: int) -> None:
@@ -469,18 +468,15 @@ def check_disperser(
                 s2 = u2.bit_count()
                 t2 = len(members) + 1
                 nodes += 1
-                if nodes > cap:
-                    raise CapExceeded(
-                        f"exhaustive disperser sweep passed the cap of {cap} nodes "
-                        f"(override with CLIQUELAB_CAP)"
-                    )
+                check_budget()
                 if t2 > 2:  # depths 1 and 2 already swept exactly
                     note(tuple(members + [idx]), s2)
                 if t2 < T and s2 < thr_max:
                     dfs(idx + 1, members + [idx], u2, s2)
 
         if T > 2:
-            dfs(0, [], 0, 0)
+            with budget(None, "exhaustive disperser sweep"):
+                dfs(0, [], 0, 0)
         # Depth <= 2 violations were found in the exact sweep above.
     elif mode == "sampled":
         if seed is None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
-from .caps import check_enum
+from .caps import budget, check_budget
 from .ensembles import (
     GENERATOR_ID,
     Seed,
@@ -519,10 +519,11 @@ def verify_averaging(g: Graph, s: Iterable[int], k: int) -> bool:
     s = tuple(sorted(set(s)))
     if not 1 <= k <= len(s):
         raise ValueError(f"need 1 <= k <= |S|={len(s)}")
-    check_enum(math.comb(len(s), k), "k-subsets of S")
     from itertools import combinations
 
-    best = max(g.induced(c).m for c in combinations(s, k))
+    with budget(None, "k-subsets of S"):
+        check_budget(math.comb(len(s), k))  # exact, charged before enumerating
+        best = max(g.induced(c).m for c in combinations(s, k))
     if len(s) == 1:
         return best >= 0
     target = math.ceil(

@@ -182,6 +182,21 @@ def test_solve_den_leq_k_value(tmp_path, capsys):
     assert payload["value_float"] == 1.5
 
 
+def test_solve_den_leq_k_beyond_four_is_not_refused_a_priori(tmp_path, capsys):
+    # the size-4 step of den_{<=5} on N = 500 would be C(500, 4) ~ 2.6e9
+    # subsets, far above the cap, but the search expands under 1k nodes
+    src, prod = str(tmp_path / "er.txt"), str(tmp_path / "prod.txt")
+    assert main(["gen", "er", "--n", "60", "--seed", "7", "--out", src]) == 0
+    argv = [
+        "rgp", "--in", src, "--ell", "2", "--N", "500", "--seed", "7",
+        "--out-graph", prod, "--out-family", str(tmp_path / "fam.txt"),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["solve", "den-leq-k", "--in", prod, "--k", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "2"
+
+
 # -- reduce ----------------------------------------------------------------------------
 
 

@@ -481,9 +481,36 @@ def test_detect_pattern_times_out_under_enclosing_budget():
 
 
 def test_enum_cap_respected(monkeypatch):
+    # the cap counts nodes expanded, not C(n, k): on K10 the bound prunes every
+    # branch after the first path (6 nodes); on the empty graph it expands 211
+    monkeypatch.setenv("CLIQUELAB_CAP", "10")
+    assert densest_k_subgraph(Graph.complete(10), 5) == ((0, 1, 2, 3, 4), 10)
+    with pytest.raises(CapExceeded, match="k-subset search passed the cap of 10"):
+        densest_k_subgraph(Graph.empty(10), 5)
+    monkeypatch.setenv("CLIQUELAB_CAP", "1000000")
+    assert densest_k_subgraph(Graph.empty(10), 5) == ((0, 1, 2, 3, 4), 0)
+
+
+def test_nested_searches_share_the_outer_count(monkeypatch):
     monkeypatch.setenv("CLIQUELAB_CAP", "10")
     g = Graph.complete(10)
-    with pytest.raises(CapExceeded):
+    with budget(None, "outer"):
         densest_k_subgraph(g, 5)
-    monkeypatch.setenv("CLIQUELAB_CAP", "1000000")
-    densest_k_subgraph(g, 5)
+        with pytest.raises(CapExceeded):
+            densest_k_subgraph(g, 5)
+
+
+def test_max_clique_small_cap_refused(monkeypatch):
+    monkeypatch.setenv("CLIQUELAB_CAP", "5")
+    g = random_graph(30, 0.5, random.Random(1))
+    with pytest.raises(CapExceeded, match="clique search"):
+        max_clique(g)
+
+
+def test_detect_pattern_small_cap_refused(monkeypatch):
+    # a cap overrun is a refusal, not a timeout: CapExceeded, not
+    # PatternSearchTimeout
+    monkeypatch.setenv("CLIQUELAB_CAP", "20")
+    g = random_graph(50, 0.5, random.Random(1))
+    with pytest.raises(CapExceeded, match="pattern search"):
+        detect_pattern(g, Graph.empty(6), induced=True)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliquelab.errors import CapExceeded
 from cliquelab.graph import Graph
 from cliquelab.verify import (
     DIAGNOSTIC,
@@ -217,6 +218,16 @@ def test_verify_averaging_fixed_instance():
     c4 = Graph.cycle(4)
     assert verify_averaging(c4, range(4), 2)
     assert verify_averaging(Graph.complete(5), range(5), 3)
+
+
+def test_verify_averaging_refuses_oversized_enumeration_up_front(monkeypatch):
+    # C(12, 6) = 924 subsets exceed the cap; none of them is induced
+    monkeypatch.setenv("CLIQUELAB_CAP", "100")
+    monkeypatch.setattr(
+        Graph, "induced", lambda *a: pytest.fail("enumerated before refusing")
+    )
+    with pytest.raises(CapExceeded, match="k-subsets of S"):
+        verify_averaging(Graph.complete(12), range(12), 6)
 
 
 def test_verify_averaging_trials_pass():
