@@ -25,7 +25,10 @@ DEFAULT_ENUM_CAP = 10**8
 BIGINT_BIT_CAP = 2**33
 
 # (what runs, (monotonic deadline, budget in ms, what set it) or None, node cap,
-# [nodes expanded]) of the budget scope in force; nested scopes share the list
+# [nodes expanded]) of the budget scope in force; nested scopes share the list,
+# and so do trials that verify runs on pool threads.  Its increment takes no
+# lock, which every poll would pay for; an update lost to a thread switch only
+# lets the cap trip a node later.
 _SCOPE: ContextVar[tuple | None] = ContextVar("cliquelab_budget", default=None)
 
 

@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
 from . import oracles, reductions, verify
@@ -33,7 +33,6 @@ from .formats import (
     dump_hypergraph,
     dump_steiner,
     load_dsn,
-    load_family,
     load_graph,
     load_hypergraph,
     load_steiner,
@@ -141,6 +140,23 @@ def _text_meta(cfg: RunConfig) -> dict[str, str]:
     return {"version": __version__, "run": cfg.compact()}
 
 
+def _csv_text(
+    cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence[Any]]
+) -> str:
+    """CSV text under '# version' and '# run' comment lines."""
+    buf = io.StringIO()
+    buf.write(f"# version: {__version__}\n# run: {cfg.compact()}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _ids(spec: str) -> tuple[int, ...]:
     """Parse a comma or space separated id list like '0,3,5'."""
     parts = spec.replace(",", " ").split()
@@ -154,6 +170,13 @@ def _with_budget(budget_ms: int | None, label: str, fn: Callable[[], Any]) -> An
 
 
 # -- gen ---------------------------------------------------------------------------
+
+
+_GEN_NEEDS: dict[str, tuple[str, ...]] = {
+    "er": ("n",),
+    "planted": ("n", "kappa"),
+    "pattern": ("k",),
+}
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -177,8 +200,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_rgp(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, "rgp", fmt="text")
-    with open(args.infile, encoding="utf-8") as fh:
-        g = load_graph(fh.read())
+    g = load_graph(_read(args.infile))
     if args.n is not None and args.n != g.n:
         print(f"--n {args.n} disagrees with input graph n={g.n}", file=sys.stderr)
         return EXIT_USAGE
@@ -205,30 +227,19 @@ def _cmd_rgp(args: argparse.Namespace) -> int:
 # -- solve -------------------------------------------------------------------------
 
 
-def _load_graph_file(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return load_graph(fh.read())
-
-
 def _solve_payload(args: argparse.Namespace) -> dict[str, Any]:
-    p = args.problem
+    p, text = args.problem, _read(args.infile)
     if p == "steiner-k-forest":
-        with open(args.infile, encoding="utf-8") as fh:
-            inst = load_steiner(fh.read())
-        edges, cost = oracles.steiner_k_forest(inst)
+        edges, cost = oracles.steiner_k_forest(load_steiner(text))
         return {"edges": [list(e) for e in edges], "cost": str(cost)}
     if p == "dsn":
-        with open(args.infile, encoding="utf-8") as fh:
-            dinst = load_dsn(fh.read())
-        arcs, cost = oracles.directed_steiner_network(dinst)
+        arcs, cost = oracles.directed_steiner_network(load_dsn(text))
         return {"arcs": [list(a) for a in arcs], "cost": str(cost)}
     if p == "densest-k-subhypergraph":
-        with open(args.infile, encoding="utf-8") as fh:
-            h = load_hypergraph(fh.read())
-        vs, contained = oracles.densest_k_subhypergraph(h, args.k)
+        vs, contained = oracles.densest_k_subhypergraph(load_hypergraph(text), args.k)
         return {"solution": list(vs), "hyperedges": contained}
 
-    g = _load_graph_file(args.infile)
+    g = load_graph(text)
     if p == "max-clique":
         clique = oracles.max_clique(g)
         return {"solution": list(clique), "size": len(clique)}
@@ -251,7 +262,7 @@ def _solve_payload(args: argparse.Namespace) -> dict[str, Any]:
         vs = oracles.smallest_k_edge_subgraph(g, args.k)
         return {"solution": list(vs), "size": len(vs)}
     if p == "detect-pattern":
-        h = _load_graph_file(args.pattern)
+        h = load_graph(_read(args.pattern))
         mapping = oracles.detect_pattern(g, h, args.induced)
         return {
             "found": mapping is not None,
@@ -277,13 +288,6 @@ _SOLVE_NEEDS: dict[str, tuple[str, ...]] = {
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    missing = [f for f in _SOLVE_NEEDS[args.problem] if getattr(args, f) is None]
-    if missing:
-        print(
-            f"solve {args.problem} requires --{missing[0].replace('_', '-')}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     cfg = _config_from_args(args, f"solve {args.problem}")
     t0 = time.perf_counter()
     payload = _with_budget(
@@ -299,48 +303,52 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 # -- reduce ------------------------------------------------------------------------
 
 
+_REDUCE_NEEDS: dict[str, tuple[str, ...]] = {
+    "skes-to-steiner-forest": ("out_instance", "out_cert"),
+    "skes-to-dsn": ("seed", "out_instance", "out_cert"),
+    "biclique-to-dksh": ("ell", "out_instance", "out_cert"),
+    "dks-to-induced-pattern": ("seed", "pattern", "out_instance", "out_cert"),
+    "dks-from-biclique": ("side_a", "side_b"),
+    "dks-via-skes": ("solution",),
+}
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
     name = args.name
     cfg = _config_from_args(args, f"reduce {name}")
-    g = _load_graph_file(args.infile)
-    rainbow = _ids(args.rainbow) if getattr(args, "rainbow", None) else None
+    meta = _text_meta(cfg)
+    g = load_graph(_read(args.infile))
+    rainbow = _ids(args.rainbow) if args.rainbow else None
+
+    if name in ("dks-from-biclique", "dks-via-skes"):
+        if name == "dks-from-biclique":
+            sides = (_ids(args.side_a), _ids(args.side_b))
+            vs = reductions.dks_from_biclique(g, args.k, sides)
+        else:
+            vs = reductions.dks_via_skes(g, args.k, _ids(args.solution))
+        payload = {"solution": list(vs), "k": args.k, "run": cfg.to_json_dict()}
+        _emit_json(args.out_instance, payload)
+        print(f"selected {len(vs)} vertices", file=sys.stderr)
+        return EXIT_OK
 
     if name == "skes-to-steiner-forest":
         inst, cert = reductions.skes_to_steiner_forest(g, args.k)
-        _emit(args.out_instance, dump_steiner(inst, meta=_text_meta(cfg)))
+        text = dump_steiner(inst, meta=meta)
     elif name == "skes-to-dsn":
         inst, cert = reductions.skes_to_dsn(
             g, args.k, args.seed, rainbow=rainbow, index=args.index
         )
-        _emit(args.out_instance, dump_dsn(inst, meta=_text_meta(cfg)))
+        text = dump_dsn(inst, meta=meta)
     elif name == "biclique-to-dksh":
         hyper, rho, ell, cert = reductions.biclique_to_dksh(g, args.k, args.ell)
-        _emit(args.out_instance, dump_hypergraph(hyper, meta=_text_meta(cfg)))
-    elif name == "dks-to-induced-pattern":
-        h = _load_graph_file(args.pattern)
+        text = dump_hypergraph(hyper, meta=meta)
+    else:
+        h = load_graph(_read(args.pattern))
         host, cert = reductions.dks_to_induced_pattern(
             g, h, args.seed, rainbow=rainbow, index=args.index
         )
-        _emit(args.out_instance, dump_graph(host, meta=_text_meta(cfg)))
-    elif name == "dks-from-biclique":
-        a, b = _ids(args.side_a), _ids(args.side_b)
-        vs = reductions.dks_from_biclique(g, args.k, (a, b))
-        _emit_json(
-            args.out_instance,
-            {"solution": list(vs), "k": args.k, "run": cfg.to_json_dict()},
-        )
-        print(f"selected {len(vs)} vertices", file=sys.stderr)
-        return EXIT_OK
-    else:
-        sol = _ids(args.solution)
-        vs = reductions.dks_via_skes(g, args.k, sol)
-        _emit_json(
-            args.out_instance,
-            {"solution": list(vs), "k": args.k, "run": cfg.to_json_dict()},
-        )
-        print(f"selected {len(vs)} vertices", file=sys.stderr)
-        return EXIT_OK
-
+        text = dump_graph(host, meta=meta)
+    _emit(args.out_instance, text)
     cert_payload = cert.to_json_dict()
     cert_payload["run"] = cfg.to_json_dict()
     _emit_json(args.out_cert, cert_payload)
@@ -355,93 +363,51 @@ def _default_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+# lemma -> (its function in verify, the flags it requires, the flags it takes
+# with a default); each flag's name is the function's keyword for it
+_VERIFY: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+    "completeness": ("verify_completeness", ("n", "delta", "ell", "N", "k"), ()),
+    "soundness": (
+        "verify_soundness_structure",
+        ("n", "ell", "N", "k"),
+        ("kappa", "j_samples", "j_size"),
+    ),
+    "disperser": (
+        "verify_disperser",
+        ("n", "ell", "N", "delta", "max_set_size"),
+        ("mode", "samples"),
+    ),
+    "lemma44": ("verify_lemma44", ("kappa", "t", "ell"), ("max_retries",)),
+    "averaging": ("verify_averaging_trials", ("n", "s_size", "k"), ("p",)),
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     lemma = args.lemma
-    threads = args.threads if args.threads else _default_threads()
+    fn_name, needs, defaults = _VERIFY[lemma]
     t0 = time.perf_counter()
-    if lemma == "completeness":
-        report = verify.verify_completeness(
-            n=args.n,
-            delta=args.delta,
-            ell=args.ell,
-            N=args.N,
-            k=args.k,
-            trials=args.trials,
-            seed=args.seed,
-            threads=threads,
-        )
-    elif lemma == "soundness":
-        report = verify.verify_soundness_structure(
-            n=args.n,
-            ell=args.ell,
-            N=args.N,
-            k=args.k,
-            trials=args.trials,
-            seed=args.seed,
-            kappa=args.kappa,
-            j_samples=args.j_samples,
-            j_size=args.j_size,
-            threads=threads,
-        )
-    elif lemma == "disperser":
-        report = verify.verify_disperser(
-            n=args.n,
-            ell=args.ell,
-            N=args.N,
-            delta=args.delta,
-            max_set_size=args.max_set_size,
-            trials=args.trials,
-            seed=args.seed,
-            mode=args.mode,
-            samples=args.samples,
-            threads=threads,
-        )
-    elif lemma == "lemma44":
-        report = verify.verify_lemma44(
-            kappa=args.kappa,
-            t=args.t,
-            ell=args.ell,
-            trials=args.trials,
-            seed=args.seed,
-            max_retries=args.max_retries,
-            threads=threads,
-        )
-    else:
-        report = verify.verify_averaging_trials(
-            n=args.n,
-            s_size=args.s_size,
-            k=args.k,
-            trials=args.trials,
-            seed=args.seed,
-            p=args.p,
-            threads=threads,
-        )
+    # looked up by name at call time, so a replaced function is the one called
+    report = getattr(verify, fn_name)(
+        **{flag: getattr(args, flag) for flag in needs + defaults},
+        trials=args.trials,
+        seed=args.seed,
+        threads=args.threads or _default_threads(),
+    )
     dt = time.perf_counter() - t0
 
     cfg = _config_from_args(args, f"verify {lemma}", fmt="csv+json")
-    if args.out_json:
+    if args.out_json or not args.out_csv:
         payload = json.loads(report.to_json())
         payload["run"] = cfg.to_json_dict()
         _emit_json(args.out_json, payload)
     if args.out_csv:
-        header, rows = report.csv_rows()
-        buf = io.StringIO()
-        buf.write(f"# version: {__version__}\n")
-        buf.write(f"# run: {cfg.compact()}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _emit(args.out_csv, buf.getvalue())
+        _emit(args.out_csv, _csv_text(cfg, *report.csv_rows()))
     rate = report.aggregates.get("success_rate")
     rate_note = "" if rate is None else f" success_rate={rate:.4f}"
     print(
         f"verify {lemma}: verdict={report.verdict}{rate_note} ({dt:.2f}s)",
         file=sys.stderr,
     )
-    if not args.out_json and not args.out_csv:
-        payload = json.loads(report.to_json())
-        payload["run"] = cfg.to_json_dict()
-        _emit_json(None, payload)
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -487,8 +453,7 @@ _VERDICT_ORDER = [PASS, DIAGNOSTIC, STATISTICAL_FAIL, INVARIANT_FAIL]
 
 
 def _read_trial_csv(path: str) -> tuple[list[str], list[dict[str, str]]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+    lines = [ln for ln in _read(path).splitlines() if not ln.startswith("#")]
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -549,18 +514,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     _emit_json(args.out_summary, summary)
 
     if args.out_long:
-        buf = io.StringIO()
-        buf.write(f"# version: {__version__}\n")
-        buf.write(f"# run: {cfg.compact()}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["lemma", "param", "trial", "value"])
-        for lemma in sorted(pools):
-            for row in pools[lemma].rows:
-                for col in sorted(row):
-                    if col in ("lemma", "trial", "verdict"):
-                        continue
-                    writer.writerow([lemma, col, row["trial"], row[col]])
-        _emit(args.out_long, buf.getvalue())
+        rows = [
+            [lemma, col, row["trial"], row[col]]
+            for lemma in sorted(pools)
+            for row in pools[lemma].rows
+            for col in sorted(row)
+            if col not in ("lemma", "trial", "verdict")
+        ]
+        header = ["lemma", "param", "trial", "value"]
+        _emit(args.out_long, _csv_text(cfg, header, rows))
     print(f"merged {len(args.inputs)} file(s), {len(pools)} lemma(s)", file=sys.stderr)
     return EXIT_OK
 
@@ -574,7 +536,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
     gen = sub.add_parser("gen", help="sample graphs from the built-in ensembles")
-    gen.add_argument("kind", choices=["er", "planted", "pattern"])
+    gen.add_argument("kind", choices=list(_GEN_NEEDS))
     gen.add_argument("--n", type=int)
     gen.add_argument("--p", default="1/2", help="edge probability (float or p/q)")
     gen.add_argument("--kappa", type=int, help="planted clique size")
@@ -610,17 +572,7 @@ def build_parser() -> _Parser:
     solve.set_defaults(func=_cmd_solve)
 
     reduce_p = sub.add_parser("reduce", help="rewrite an instance for another problem")
-    reduce_p.add_argument(
-        "name",
-        choices=[
-            "skes-to-steiner-forest",
-            "skes-to-dsn",
-            "biclique-to-dksh",
-            "dks-to-induced-pattern",
-            "dks-from-biclique",
-            "dks-via-skes",
-        ],
-    )
+    reduce_p.add_argument("name", choices=list(_REDUCE_NEEDS))
     reduce_p.add_argument("--in", dest="infile", required=True)
     reduce_p.add_argument("--k", type=int, required=True)
     reduce_p.add_argument("--ell", type=int, help="half clique size for dksh")
@@ -636,10 +588,7 @@ def build_parser() -> _Parser:
     reduce_p.set_defaults(func=_cmd_reduce)
 
     ver = sub.add_parser("verify", help="Monte Carlo / exhaustive lemma checks")
-    ver.add_argument(
-        "lemma",
-        choices=["completeness", "soundness", "disperser", "lemma44", "averaging"],
-    )
+    ver.add_argument("lemma", choices=list(_VERIFY))
     ver.add_argument("--n", type=int)
     ver.add_argument("--delta", help="float or p/q")
     ver.add_argument("--ell", type=int)
@@ -684,41 +633,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-_VERIFY_NEEDS: dict[str, tuple[str, ...]] = {
-    "completeness": ("n", "delta", "ell", "N", "k"),
-    "soundness": ("n", "ell", "N", "k"),
-    "disperser": ("n", "ell", "N", "delta", "max_set_size"),
-    "lemma44": ("kappa", "t", "ell"),
-    "averaging": ("n", "s_size", "k"),
-}
-
-_REDUCE_NEEDS: dict[str, tuple[str, ...]] = {
-    "skes-to-steiner-forest": ("out_instance", "out_cert"),
-    "skes-to-dsn": ("seed", "out_instance", "out_cert"),
-    "biclique-to-dksh": ("ell", "out_instance", "out_cert"),
-    "dks-to-induced-pattern": ("seed", "pattern", "out_instance", "out_cert"),
-    "dks-from-biclique": ("side_a", "side_b"),
-    "dks-via-skes": ("solution",),
+# subcommand -> (the argument naming its variant, the flags each variant requires)
+_NEEDS: dict[str, tuple[str, dict[str, tuple[str, ...]]]] = {
+    "gen": ("kind", _GEN_NEEDS),
+    "solve": ("problem", _SOLVE_NEEDS),
+    "reduce": ("name", _REDUCE_NEEDS),
+    "verify": ("lemma", {lemma: spec[1] for lemma, spec in _VERIFY.items()}),
 }
 
 
 def _check_required(args: argparse.Namespace) -> str | None:
-    needs: tuple[str, ...] = ()
-    label = args.subcommand
-    if args.subcommand == "verify":
-        needs, label = _VERIFY_NEEDS[args.lemma], f"verify {args.lemma}"
-    elif args.subcommand == "reduce":
-        needs, label = _REDUCE_NEEDS[args.name], f"reduce {args.name}"
-    elif args.subcommand == "gen":
-        label = f"gen {args.kind}"
-        if args.kind == "pattern":
-            needs = ("k",)
-        else:
-            needs = ("n",) if args.kind == "er" else ("n", "kappa")
-    missing = [f for f in needs if getattr(args, f) is None]
+    if args.subcommand not in _NEEDS:
+        return None
+    attr, needs = _NEEDS[args.subcommand]
+    variant = getattr(args, attr)
+    missing = [f for f in needs[variant] if getattr(args, f) is None]
     if missing:
         flag = missing[0].replace("_", "-")
-        return f"{label} requires --{flag}"
+        return f"{args.subcommand} {variant} requires --{flag}"
     return None
 
 
@@ -737,10 +669,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CapExceeded, InfeasibleError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

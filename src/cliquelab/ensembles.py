@@ -97,7 +97,7 @@ def sample_planted(
 ) -> PlantedInstance:
     """G(n, p) plus a clique on a uniform kappa-subset.
 
-    The kappa-subset comes from a Fisher-Yates prefix on its own substream,
+    The kappa-subset comes from uniform_subset on its own substream,
     so with kappa = 1 the edge set coincides with sample_er at the same seed.
     """
     p = as_probability(p)
@@ -105,12 +105,7 @@ def sample_planted(
         raise ValueError(f"kappa must lie in 1..{n}, got {kappa}")
     s = as_seed(seed)
     adj = _er_matrix(n, p, s.stream("er", index))
-    rng = s.stream("planted-clique", index)
-    arr = list(range(n))
-    for i in range(kappa):
-        j = i + int(rng.integers(0, n - i))
-        arr[i], arr[j] = arr[j], arr[i]
-    clique = tuple(sorted(arr[:kappa]))
+    clique = uniform_subset(n, kappa, s.stream("planted-clique", index))
     for a in clique:
         for b in clique:
             if a != b:

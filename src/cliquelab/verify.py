@@ -9,6 +9,7 @@ Everything in a report is reproducible from (config, seed).
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -147,8 +148,14 @@ def _run_trials(
     if threads <= 1:
         records = [worker(i) for i in range(trials)]
     else:
+        # a pool thread starts with an empty context: hand each trial the
+        # caller's, so an enclosing budget scope binds its searches too
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(worker, range(trials)))
+            futures = [
+                pool.submit(contextvars.copy_context().run, worker, i)
+                for i in range(trials)
+            ]
+            records = [f.result() for f in futures]
     records.sort(key=lambda r: r["trial"])
     return tuple(records)
 

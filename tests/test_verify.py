@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cliquelab.errors import CapExceeded
+from cliquelab.caps import budget
+from cliquelab.errors import BudgetExceeded, CapExceeded
 from cliquelab.graph import Graph
 from cliquelab.verify import (
     DIAGNOSTIC,
@@ -172,6 +173,15 @@ def test_disperser_threads_do_not_change_output():
     a = verify_disperser(**kw, threads=1)
     b = verify_disperser(**kw, threads=4)
     assert a.to_json() == b.to_json()
+
+
+def test_budget_scope_reaches_pool_threads():
+    # the trials run on pool threads, which must see the caller's scope
+    with pytest.raises(BudgetExceeded):
+        with budget(1, "outer"):
+            verify_soundness_structure(
+                n=60, ell=2, N=200, k=5, trials=2, seed=7, threads=2
+            )
 
 
 # -- lemma44 ---------------------------------------------------------------------------
