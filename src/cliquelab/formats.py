@@ -15,6 +15,7 @@ import tempfile
 from fractions import Fraction
 from typing import Any, Mapping
 
+from .caps import check_budget
 from .graph import Graph, Hypergraph, WeightedDigraph
 from .oracles import DsnInstance, SteinerForestInstance
 from .rgp import SubsetFamily
@@ -92,7 +93,9 @@ def load_graph(text: str) -> Graph:
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)} lines")
     edges = []
-    for ln in body:
+    for i, ln in enumerate(body):
+        if not i % 65536:
+            check_budget(0)  # the deadline only: parsing expands no search node
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"malformed edge line {ln!r}")

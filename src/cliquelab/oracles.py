@@ -188,8 +188,10 @@ def _den_leq4_closed_form(g: Graph, k: int) -> Fraction:
     Densities realizable on at most 4 vertices order as
     3/2 (K4) > 5/4 (K4 minus an edge) > 1 (triangle, or 4-cycle) >
     3/4 (3 edges on 4 vertices) > 2/3 (path on 3) > 1/2 (edge) > 0,
-    and each case reduces to a degree or common-neighbor test.  With no search
-    loop, the budget is checked only around the common-neighbor product.
+    and each case reduces to a degree or common-neighbor test.  The common
+    neighbor counts come from one float32 matrix product on BLAS, exact below
+    2^24 vertices.  With no search loop, the budget is checked only around
+    that product.
     """
     if g.m == 0:
         return Fraction(0)
@@ -200,7 +202,10 @@ def _den_leq4_closed_form(g: Graph, k: int) -> Fraction:
     adj = g.to_bool_matrix()
     deg = adj.sum(axis=1)
     check_budget()
-    common = (adj.astype(np.int64) @ adj.astype(np.int64)).astype(np.int64)
+    # Exact in float32: every entry and partial sum is an integer <= n <=
+    # VERTEX_CAP < 2^24, whatever order BLAS sums in (numpy's int matmul has no BLAS).
+    a = adj.astype(np.float32)
+    common = a @ a
     check_budget()
     has_triangle = bool((common[adj] >= 1).any())
     if k == 3:

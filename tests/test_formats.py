@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,8 @@ from cliquelab.formats import (
     parse_meta,
     parse_weight,
 )
-from cliquelab.errors import InfeasibleError
+from cliquelab.caps import budget
+from cliquelab.errors import BudgetExceeded, InfeasibleError
 from cliquelab.graph import Graph, Hypergraph, WeightedDigraph
 from cliquelab.oracles import DsnInstance, SteinerForestInstance, steiner_k_forest
 from cliquelab.rgp import SubsetFamily
@@ -58,6 +60,15 @@ def test_load_graph_rejections():
         load_graph("d 3 0\n")  # wrong tag
     with pytest.raises(ValueError):
         load_graph("")
+
+
+def test_load_graph_polls_the_budget(triangle):
+    text = dump_graph(triangle)
+    with budget(0, "load"):
+        time.sleep(0.01)
+        with pytest.raises(BudgetExceeded):
+            load_graph(text)
+    assert load_graph(text) == triangle  # outside a scope the poll does nothing
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))

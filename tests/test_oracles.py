@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _util import random_graph
-from cliquelab.caps import budget
+from cliquelab.caps import VERTEX_CAP, budget
 from cliquelab.errors import CapExceeded, InfeasibleError, PatternSearchTimeout
 from cliquelab.graph import Graph, Hypergraph, WeightedDigraph, induced_subgraph
 from cliquelab.oracles import (
@@ -139,6 +139,27 @@ def test_den_leq4_closed_form_matches_brute(n, seed):
     g = random_graph(n, 0.45, random.Random(seed))
     for k in (1, 2, 3, 4):
         assert den_leq_k(g, k) == _den_brute(g, k)
+
+
+def test_common_neighbour_product_is_exact_below_cap():
+    assert VERTEX_CAP < 2**24, (
+        "den_leq_k's float32 common-neighbour product is exact only for fewer than 2^24 vertices"
+    )
+
+
+def test_den_leq4_closed_form_matches_search_on_sparse_graphs():
+    # Sparse graphs up to n = 80, where each k = 4 branch decides somewhere:
+    # 3/2 K4, 5/4 diamond, 1 triangle or 4-cycle, 3/4 path or star.
+    decided = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, p = rng.randint(20, 80), rng.uniform(0.03, 0.2)
+        g = random_graph(n, p, rng)
+        for k in (3, 4):
+            best = max(Fraction(densest_k_subgraph(g, s)[1], s) for s in range(1, k + 1))
+            assert den_leq_k(g, k) == best, (seed, n, p, k)
+        decided.add(best)
+    assert {Fraction(3, 2), Fraction(5, 4), Fraction(1), Fraction(3, 4)} <= decided
 
 
 def test_den_leq_k_general_matches_brute():
