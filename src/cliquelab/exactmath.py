@@ -8,6 +8,8 @@ so ceilings are computed without floating point.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import iv, mp, mpf
@@ -19,6 +21,22 @@ from .errors import CapExceeded
 # Exact powers that cannot be reduced to a binary shift are capped much lower:
 # big-int pow and iroot on results beyond ~10^7 bits take minutes to hours.
 SLOW_BIT_CAP = 10**7
+
+# mpmath's mp.prec and iv.prec are process-wide; every change to them holds this
+# lock, so a caller on another thread never computes at someone else's precision.
+_PREC_LOCK = threading.RLock()
+
+
+@contextmanager
+def _working_prec(ctx, prec: int):
+    """Run the block with ctx.prec = prec, restoring it after, under _PREC_LOCK."""
+    with _PREC_LOCK:
+        old = ctx.prec
+        ctx.prec = prec
+        try:
+            yield
+        finally:
+            ctx.prec = old
 
 
 def pow2_split(n: int) -> tuple[int, int]:
@@ -42,12 +60,8 @@ def approx_log2_fraction(n: int, prec: int = 200) -> Fraction:
     s = exact_log2(n)
     if s is not None:
         return Fraction(s)
-    old = mp.prec
-    try:
-        mp.prec = prec
+    with _working_prec(mp, prec):
         return _mpf_to_fraction(mp_log(n, 2))
-    finally:
-        mp.prec = old
 
 
 def iroot_floor(x: int, q: int) -> int:
@@ -136,30 +150,22 @@ def exp_neg_upper(x: Fraction, prec: int = 120) -> Fraction:
     """A rational upper bound on exp(-x), tight to the working precision."""
     if x < 0:
         raise ValueError("x must be non-negative")
-    old = iv.prec
-    try:
-        iv.prec = prec
+    with _working_prec(iv, prec):
         val = iv.exp(-iv.mpf(x.numerator) / x.denominator)
         return _iv_bounds(val)[1]
-    finally:
-        iv.prec = old
 
 
 def compare_pow(a: int, ea: int, b: int, eb: int) -> int:
     """Sign of a**ea - b**eb for positive ints, avoiding huge materialization."""
     if a <= 0 or b <= 0 or ea < 0 or eb < 0:
         raise ValueError("need positive bases and non-negative exponents")
-    old = iv.prec
-    try:
-        iv.prec = 400
+    with _working_prec(iv, 400):
         la = iv.log(iv.mpf(a)) * ea
         lb = iv.log(iv.mpf(b)) * eb
         if la.b < lb.a:
             return -1
         if lb.b < la.a:
             return 1
-    finally:
-        iv.prec = old
     # Interval enclosures overlap; fall back to exact comparison if affordable.
     est = max(ea * a.bit_length(), eb * b.bit_length())
     if est > SLOW_BIT_CAP:
@@ -177,17 +183,13 @@ def ceil_frac_log2(coeff: Fraction, n: int) -> int:
     s = exact_log2(n)
     if s is not None:
         return math.ceil(coeff * s)
-    old = iv.prec
-    try:
-        iv.prec = 400
+    with _working_prec(iv, 400):
         val = (iv.log(iv.mpf(n)) / iv.log(iv.mpf(2))) * iv.mpf(
             coeff.numerator
         ) / coeff.denominator
         blo, bhi = _iv_bounds(val)
         lo = math.ceil(blo)
         hi = math.ceil(bhi)
-    finally:
-        iv.prec = old
     if lo == hi:
         return lo
     # The enclosure straddles an integer m: decide val <= m exactly via
@@ -199,16 +201,24 @@ def ceil_frac_log2(coeff: Fraction, n: int) -> int:
     return hi
 
 
-def binom_cdf(n: int, k: int, p: Fraction) -> Fraction:
-    """Exact P[Binomial(n, p) <= k]."""
+def binom_cdf(n: int, k: int, p: Fraction | int) -> Fraction:
+    """Exact P[Binomial(n, p) <= k] for a rational p.
+
+    With p = a/D in lowest terms and b = D - a, each term C(n, i) p^i (1-p)^(n-i)
+    is the integer C(n, i) a^i b^(n-i) over D^n.  The integers of the shorter
+    tail (i <= k when 2k < n, else i > k) are summed and divided once.
+    """
+    if not isinstance(p, (int, Fraction)):
+        raise TypeError(f"p must be an int or a Fraction, got {type(p).__name__}")
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     if k < 0:
         return Fraction(0)
     if k >= n:
         return Fraction(1)
-    q = 1 - p
-    total = Fraction(0)
-    for i in range(k + 1):
-        total += math.comb(n, i) * p**i * q ** (n - i)
-    return total
+    a, d = p.numerator, p.denominator
+    b = d - a
+    lower = 2 * k < n
+    terms = range(k + 1) if lower else range(k + 1, n + 1)
+    tail = Fraction(sum(math.comb(n, i) * a**i * b ** (n - i) for i in terms), d**n)
+    return tail if lower else 1 - tail

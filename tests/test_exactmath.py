@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath import iv, mp
 
 from cliquelab.exactmath import (
     approx_log2_fraction,
@@ -18,6 +21,8 @@ from cliquelab.exactmath import (
     iroot_floor,
     pow2_split,
 )
+from cliquelab.reductions import lemma44_bound
+from cliquelab.verify import exact_tail_p_value
 
 
 def test_pow2_split_basics():
@@ -143,6 +148,103 @@ def test_binom_cdf_sums_to_one_and_monotone(n, p):
         Fraction(math.comb(n, j)) * p**j * (1 - p) ** (n - j) for j in range(n // 2 + 1)
     )
     assert binom_cdf(n, n // 2, p) == brute
+
+
+def _binom_cdf_reference(n: int, k: int, p: Fraction) -> Fraction:
+    """The former binom_cdf: the lower tail summed in Fraction powers."""
+    if k < 0:
+        return Fraction(0)
+    if k >= n:
+        return Fraction(1)
+    q = 1 - p
+    total = Fraction(0)
+    for i in range(k + 1):
+        total += math.comb(n, i) * p**i * q ** (n - i)
+    return total
+
+
+@st.composite
+def _binom_case(draw):
+    n = draw(st.integers(min_value=0, max_value=60))
+    k = draw(st.integers(min_value=-1, max_value=n + 1))
+    m = draw(st.integers(min_value=1, max_value=1000))
+    p = draw(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.just(Fraction(1)),
+            st.integers(min_value=0, max_value=m).map(lambda q: Fraction(q, m)),
+        )
+    )
+    return n, k, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binom_case())
+# 2k = n sums the upper tail and 2k = n - 1 the lower one.
+@example((60, 30, Fraction(7, 997)))
+@example((59, 29, Fraction(7, 997)))
+def test_binom_cdf_equals_the_fraction_power_sum(case):
+    n, k, p = case
+    want = _binom_cdf_reference(n, k, p)
+    got = binom_cdf(n, k, p)
+    assert type(got) is Fraction
+    assert got == want
+    assert exact_tail_p_value(n, k, p) == want
+
+
+def test_binom_cdf_rejects_float_p():
+    with pytest.raises(TypeError):
+        binom_cdf(3, 1, 0.5)
+    assert binom_cdf(3, 1, Fraction(1, 2)) == Fraction(1, 2)
+    assert binom_cdf(3, 1, 0) == 1
+    assert binom_cdf(3, 1, 1) == 0
+
+
+def test_mpmath_precision_is_restored():
+    mp_prec, iv_prec = mp.prec, iv.prec
+    calls = (
+        lambda: approx_log2_fraction(10**9 + 7, prec=300),
+        lambda: exp_neg_upper(Fraction(7, 3), prec=200),
+        lambda: compare_pow(3, 40, 7, 23),
+        lambda: ceil_frac_log2(Fraction(5, 3), 10**6),
+    )
+    for call in calls:
+        call()
+        assert (mp.prec, iv.prec) == (mp_prec, iv_prec)
+
+
+def test_mpmath_helpers_agree_across_threads():
+    # Two threads at different working precisions: without one lock around
+    # every precision change, either can compute at the other's precision.
+    def work(prec: int) -> list[Fraction]:
+        return [
+            approx_log2_fraction(10**9 + 7, prec=prec),
+            exp_neg_upper(Fraction(1, 3), prec=prec),
+            lemma44_bound(64, 4, 2),
+        ]
+
+    precs = (64, 256)
+    want = {prec: work(prec) for prec in precs}
+    got: dict[int, list[list[Fraction]]] = {prec: [] for prec in precs}
+
+    def loop(prec: int) -> None:
+        for _ in range(300):
+            got[prec].append(work(prec))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=loop, args=(prec,)) for prec in precs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for prec in precs:
+        assert len(got[prec]) == 300
+        assert all(values == want[prec] for values in got[prec])
 
 
 def test_domain_errors():

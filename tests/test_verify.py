@@ -65,6 +65,20 @@ def test_clopper_pearson_brackets():
     assert hi_b - lo_b < hi - lo
 
 
+@pytest.mark.parametrize("n", [10, 200, 400])
+def test_clopper_pearson_closed_forms_at_the_ends(n):
+    # All hits: the lower end solves p^n = alpha, so it is alpha^(1/n); no
+    # hits: the upper end is 1 - alpha^(1/n).  alpha is the float
+    # (1 - 0.99) / 2 = 0.005 the function uses.  x <= alpha^(1/n) is checked
+    # exactly as x^n <= alpha, and bisection must stop within 2^-39.
+    alpha = Fraction((1.0 - 0.99) / 2.0)
+    step = Fraction(1, 2**39)
+    lower = Fraction(clopper_pearson(n, n)[0])
+    assert lower**n <= alpha < (lower + step) ** n
+    below_one = 1 - Fraction(clopper_pearson(0, n)[1])
+    assert below_one**n <= alpha < (below_one + step) ** n
+
+
 def _den_report(values: list[float]) -> TrialReport:
     trials = tuple(
         {"trial": i, "den_leq_k_float": v} for i, v in enumerate(values)
