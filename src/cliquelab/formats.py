@@ -181,8 +181,10 @@ def load_hypergraph(text: str) -> Hypergraph:
     n, m = int(header[1]), int(header[2])
     if len(body) != m:
         raise ValueError(f"header promises {m} hyperedges, found {len(body)} lines")
-    edges = [tuple(int(x) for x in ln.split()) for ln in body]
-    return Hypergraph(n, edges)
+    h = Hypergraph(n, (tuple(int(x) for x in ln.split()) for ln in body))
+    if h.m != m:
+        raise ValueError("duplicate hyperedge lines")
+    return h
 
 
 # -- subset families -------------------------------------------------------------

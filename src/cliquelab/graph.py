@@ -209,25 +209,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-# Module-level names for the core operations.
-
-
-def density(g: Graph) -> Fraction:
-    return g.density()
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    return g.induced(vertices)
-
-
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    return g.is_clique(vertices)
-
-
-def complement(g: Graph) -> Graph:
-    return g.complement()
-
-
 def peel_to_min_degree(g: Graph) -> tuple[int, ...]:
     """Repeatedly drop the lowest-indexed vertex of degree below density(g).
 

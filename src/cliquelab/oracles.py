@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,49 +134,66 @@ def clique_list(g: Graph, r: int) -> list[tuple[int, ...]]:
 # -- densest small subgraphs ----------------------------------------------------
 
 
+def _most_edges(
+    rows: Sequence[int], n: int, size: int, floor: int, first: bool
+) -> tuple[tuple[int, ...], int] | None:
+    """Lex-least size-subset of range(n) with the most induced edges, provided
+    it has more than floor of them; None if no size-subset does.
+
+    Ascending include-first branch-and-bound that accepts strict improvements
+    only, so ties go to the lex-least witness.  With first set it stops at the
+    first subset above floor, which is the lex-least such subset.
+    """
+    best_set: tuple[int, ...] | None = None
+    best_edges = floor
+
+    def dfs(chosen: list[int], mask: int, edges: int, start: int) -> bool:
+        nonlocal best_set, best_edges
+        check_budget()
+        if len(chosen) == size:
+            if edges > best_edges:
+                best_edges = edges
+                best_set = tuple(chosen)
+                return first
+            return False
+        r = size - len(chosen)
+        pool = list(range(start, n))
+        if len(pool) < r:
+            return False
+        gains = sorted(((rows[v] & mask).bit_count() for v in pool), reverse=True)
+        bound = edges + sum(gains[:r]) + r * (r - 1) // 2
+        if bound <= best_edges:
+            return False
+        for v in pool:
+            add = (rows[v] & mask).bit_count()
+            chosen.append(v)
+            if dfs(chosen, mask | (1 << v), edges + add, v + 1):
+                return True
+            chosen.pop()
+            # after excluding v the bound can only drop; recompute lazily
+            r2 = size - len(chosen)
+            if n - (v + 1) < r2:
+                return False
+            gains = sorted(
+                ((rows[w] & mask).bit_count() for w in range(v + 1, n)),
+                reverse=True,
+            )
+            if edges + sum(gains[:r2]) + r2 * (r2 - 1) // 2 <= best_edges:
+                return False
+        return False
+
+    dfs([], 0, 0, 0)
+    return None if best_set is None else (best_set, best_edges)
+
+
 def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
     """Exact maximizer of induced edges over k-subsets, lex-least witness."""
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= {g.n}, got {k}")
-    rows = [g.row(u) for u in range(g.n)]
-    best_set: tuple[int, ...] | None = None
-    best_edges = -1
-
-    def dfs(chosen: list[int], mask: int, edges: int, start: int) -> None:
-        nonlocal best_set, best_edges
-        check_budget()
-        if len(chosen) == k:
-            if edges > best_edges:
-                best_edges = edges
-                best_set = tuple(chosen)
-            return
-        r = k - len(chosen)
-        pool = list(range(start, g.n))
-        if len(pool) < r:
-            return
-        gains = sorted(((rows[v] & mask).bit_count() for v in pool), reverse=True)
-        bound = edges + sum(gains[:r]) + r * (r - 1) // 2
-        if bound <= best_edges:
-            return
-        for v in pool:
-            add = (rows[v] & mask).bit_count()
-            chosen.append(v)
-            dfs(chosen, mask | (1 << v), edges + add, v + 1)
-            chosen.pop()
-            # after excluding v the bound can only drop; recompute lazily
-            r2 = k - len(chosen)
-            if g.n - (v + 1) < r2:
-                return
-            gains = sorted(
-                ((rows[w] & mask).bit_count() for w in range(v + 1, g.n)),
-                reverse=True,
-            )
-            if edges + sum(gains[:r2]) + r2 * (r2 - 1) // 2 <= best_edges:
-                return
-
     with budget(None, "k-subset search"):
-        dfs([], 0, 0, 0)
-    assert best_set is not None
+        found = _most_edges([g.row(u) for u in range(g.n)], g.n, k, -1, False)
+    assert found is not None
+    best_set, best_edges = found
     recount = g.induced(best_set).m
     assert recount == best_edges
     return best_set, best_edges
@@ -247,10 +264,14 @@ def den_leq_k(g: Graph, k: int) -> Fraction:
     with budget(None, "density search"):
         if k <= 4:
             return _den_leq4_closed_form(g, k)
+        rows = [g.row(u) for u in range(g.n)]
         value = Fraction(0)
         for s in range(1, k + 1):
-            _, edges = densest_k_subgraph(g, s)
-            value = max(value, Fraction(edges, s))
+            # only a set with more than value * s edges beats value at size s
+            found = _most_edges(rows, g.n, s, math.floor(value * s), False)
+            if found is not None:
+                assert g.induced(found[0]).m == found[1]
+                value = Fraction(found[1], s)
     return value
 
 
@@ -265,34 +286,33 @@ def is_biclique(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     return all(g.has_edge(u, v) for u in sa for v in sb)
 
 
-def _find_balanced_biclique(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Lex-least side A of size t with |common(A)| >= t, B = least t common."""
+def _biclique_sides(g: Graph, t: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield, in lex order, each t-set with at least t common neighbors,
+    together with the bitmask of its common neighborhood."""
     rows = [g.row(u) for u in range(g.n)]
-    full = (1 << g.n) - 1
-    result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-    def dfs(chosen: list[int], common: int, start: int) -> bool:
-        nonlocal result
+    def dfs(chosen: tuple[int, ...], common: int, start: int):
         check_budget()
         if len(chosen) == t:
-            members = _bits(common)[:t]
-            result = (tuple(chosen), tuple(members))
-            return True
+            yield chosen, common
+            return
         for v in range(start, g.n):
             if g.n - v < t - len(chosen):
-                return False
+                return
             nxt = common & rows[v]
+            # the common set only shrinks along a branch
             if nxt.bit_count() < t:
                 continue
-            chosen.append(v)
-            if dfs(chosen, nxt, v + 1):
-                return True
-            chosen.pop()
-        return False
+            yield from dfs(chosen + (v,), nxt, v + 1)
 
-    if t == 0:
-        return ((), ())
-    return result if dfs([], full, 0) else None
+    return dfs((), (1 << g.n) - 1, 0)
+
+
+def _find_balanced_biclique(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Lex-least side A of size t with |common(A)| >= t, B = least t common."""
+    for side, common in _biclique_sides(g, t):
+        return side, tuple(_bits(common)[:t])
+    return None
 
 
 def max_balanced_biclique(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -322,30 +342,10 @@ def count_bicliques(g: Graph, ell: int) -> int:
         raise ValueError("ell must be positive")
     if ell > g.n:
         return 0
-    rows = [g.row(u) for u in range(g.n)]
-    full = (1 << g.n) - 1
-    total = 0
-
-    def dfs(depth: int, common: int, start: int) -> None:
-        nonlocal total
-        check_budget()
-        if depth == ell:
-            c = common.bit_count()
-            if c >= ell:
-                total += math.comb(c, ell)
-            return
-        for v in range(start, g.n):
-            if g.n - v < ell - depth:
-                return
-            nxt = common & rows[v]
-            # the common set only shrinks along a branch; C(<ell, ell) = 0
-            if nxt.bit_count() < ell:
-                continue
-            dfs(depth + 1, nxt, v + 1)
-
     with budget(None, "biclique side enumeration"):
-        dfs(0, full, 0)
-    return total
+        return sum(
+            math.comb(common.bit_count(), ell) for _, common in _biclique_sides(g, ell)
+        )
 
 
 def contains_ktt(g: Graph, t: int) -> bool:
@@ -370,41 +370,15 @@ def smallest_k_edge_subgraph(g: Graph, k: int) -> tuple[int, ...]:
     if g.m < k:
         raise InfeasibleError(f"graph has {g.m} < {k} edges")
     rows = [g.row(u) for u in range(g.n)]
-
-    def attempt(size: int) -> tuple[int, ...] | None:
-        def dfs(chosen: list[int], mask: int, edges: int, start: int):
-            check_budget()
-            if len(chosen) == size:
-                return tuple(chosen) if edges >= k else None
-            r = size - len(chosen)
-            pool = list(range(start, g.n))
-            if len(pool) < r:
-                return None
-            gains = sorted(
-                ((rows[v] & mask).bit_count() for v in pool), reverse=True
-            )
-            if edges + sum(gains[:r]) + r * (r - 1) // 2 < k:
-                return None
-            for v in pool:
-                add = (rows[v] & mask).bit_count()
-                chosen.append(v)
-                hit = dfs(chosen, mask | (1 << v), edges + add, v + 1)
-                chosen.pop()
-                if hit is not None:
-                    return hit
-            return None
-
-        return dfs([], 0, 0, 0)
-
     lo = 2
     while math.comb(lo, 2) < k:
         lo += 1
     with budget(None, "subset search"):
         for size in range(lo, g.n + 1):
-            hit = attempt(size)
-            if hit is not None:
-                assert g.induced(hit).m >= k
-                return hit
+            found = _most_edges(rows, g.n, size, k - 1, True)
+            if found is not None:
+                assert g.induced(found[0]).m >= k
+                return found[0]
     raise InfeasibleError("unreachable: whole vertex set must induce >= k edges")
 
 

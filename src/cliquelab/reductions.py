@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Any, Iterable, Sequence
 
-from .caps import budget, check_budget
 from .ensembles import Seed, as_seed
 from .errors import InfeasibleError
 from .exactmath import exp_neg_upper, iroot_floor
@@ -23,6 +21,7 @@ from .oracles import (
     DsnInstance,
     SteinerForestInstance,
     clique_list,
+    densest_k_subgraph,
     is_biclique,
     max_balanced_biclique,
 )
@@ -78,28 +77,20 @@ def dks_via_skes(
 ) -> tuple[int, ...]:
     """Best k-subset of a small-set solution; averaging bound asserted.
 
-    Among all k-subsets of S the maximizer T* of induced edges satisfies
+    Runs the DkS oracle on G[S], so the result is the lex-least k-subset of S
+    with the most induced edges.  That maximizer T* satisfies
     |E[T*]| >= ceil(k(k-1) / (|S|(|S|-1)) * |E[S]|), because a uniformly
     random k-subset keeps each edge with probability k(k-1)/(|S|(|S|-1)).
     """
     s = tuple(sorted(set(skes_solution)))
     if len(s) < k or k < 1:
         raise ValueError(f"need 1 <= k <= |S|={len(s)}")
-    best: tuple[int, ...] | None = None
-    best_edges = -1
-    with budget(None, "k-subsets of the SkES solution"):
-        check_budget(math.comb(len(s), k))  # exact, charged before enumerating
-        for cand in combinations(s, k):
-            e = g.induced(cand).m
-            if e > best_edges:
-                best_edges = e
-                best = cand
-    assert best is not None
+    sub = g.induced(s)
+    picked, best_edges = densest_k_subgraph(sub, k)
     if len(s) > 1:
-        total = g.induced(s).m
-        floor_bound = Fraction(k * (k - 1), len(s) * (len(s) - 1)) * total
+        floor_bound = Fraction(k * (k - 1), len(s) * (len(s) - 1)) * sub.m
         assert best_edges >= math.ceil(floor_bound)
-    return best
+    return tuple(s[i] for i in picked)
 
 
 # -- SkES -> Steiner k-forest -----------------------------------------------------

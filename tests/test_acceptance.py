@@ -14,7 +14,7 @@ from fractions import Fraction
 import networkx as nx
 
 from cliquelab.ensembles import sample_er, sample_planted
-from cliquelab.graph import Graph, density, peel_to_min_degree
+from cliquelab.graph import Graph, peel_to_min_degree
 from cliquelab.oracles import (
     count_cliques,
     detect_pattern,
@@ -165,7 +165,7 @@ def test_criterion_6_peel_min_degree_vs_density():
         if g.m == 0 or not _is_connected(g):
             continue
         core = peel_to_min_degree(g)
-        if g.induced(core).min_degree() < density(g):
+        if g.induced(core).min_degree() < g.density():
             violations += 1
         checked += 1
     dt = time.perf_counter() - t0

@@ -18,7 +18,6 @@ from cliquelab.ensembles import (
     sample_planted,
     uniform_subset,
 )
-from cliquelab.graph import is_clique
 
 
 def test_seed_streams_are_stable():
@@ -74,7 +73,7 @@ def test_planted_contains_clique():
     inst = sample_planted(30, 0.5, 7, 4)
     assert len(inst.clique) == 7
     assert inst.clique == tuple(sorted(inst.clique))
-    assert is_clique(inst.graph, inst.clique)
+    assert inst.graph.is_clique(inst.clique)
     assert inst.kappa == 7
 
 

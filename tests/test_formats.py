@@ -107,6 +107,15 @@ def test_hypergraph_round_trip():
     assert load_hypergraph(dump_hypergraph(h)) == h
 
 
+def test_load_hypergraph_rejects_duplicate_lines():
+    # both lines name the hyperedge {0, 1}: the header's count of 2 is a lie
+    with pytest.raises(ValueError, match="duplicate hyperedge lines"):
+        load_hypergraph("h 4 2\n0 1\n1 0\n")
+    with pytest.raises(ValueError, match="duplicate hyperedge lines"):
+        load_hypergraph("h 4 2\n0 1 2\n2 1 0 0\n")
+    assert load_hypergraph("h 4 2\n1 0\n2 3\n") == Hypergraph(4, [(0, 1), (2, 3)])
+
+
 def test_family_round_trip_and_source_n():
     fam = SubsetFamily(source_n=9, ell=3, sets=((0, 2, 5), (1,), (4, 8)))
     text = dump_family(fam)

@@ -12,10 +12,6 @@ from cliquelab.graph import (
     Graph,
     Hypergraph,
     WeightedDigraph,
-    complement,
-    density,
-    induced_subgraph,
-    is_clique,
     peel_to_min_degree,
 )
 
@@ -68,26 +64,26 @@ def test_bool_matrix_round_trip(c6):
 
 
 def test_density_and_clique(k4, c5):
-    assert density(k4) == Fraction(6, 4)
-    assert density(c5) == Fraction(1)
-    assert is_clique(k4, [0, 1, 2, 3])
-    assert not is_clique(c5, [0, 1, 2])
-    assert is_clique(c5, [1, 2])
-    assert is_clique(c5, [3])
-    assert is_clique(c5, [])
+    assert k4.density() == Fraction(6, 4)
+    assert c5.density() == Fraction(1)
+    assert k4.is_clique([0, 1, 2, 3])
+    assert not c5.is_clique([0, 1, 2])
+    assert c5.is_clique([1, 2])
+    assert c5.is_clique([3])
+    assert c5.is_clique([])
 
 
 def test_induced_subgraph(c5):
-    sub = induced_subgraph(c5, [0, 1, 2])
+    sub = c5.induced([0, 1, 2])
     assert sub.n == 3
     assert sub.edges() == [(0, 1), (1, 2)]
     # order of ids does not matter, sorted relabeling is used
-    assert induced_subgraph(c5, [2, 0, 1]) == sub
+    assert c5.induced([2, 0, 1]) == sub
 
 
 def test_complement_involution(c5):
-    assert complement(complement(c5)) == c5
-    assert complement(Graph.complete(4)) == Graph.empty(4)
+    assert c5.complement().complement() == c5
+    assert Graph.complete(4).complement() == Graph.empty(4)
 
 
 def test_peel_drops_pendant_below_density():
@@ -116,8 +112,8 @@ def test_peel_subgraph_min_degree_at_least_density(n, seed):
             peel_to_min_degree(g)
         return
     kept = peel_to_min_degree(g)
-    sub = induced_subgraph(g, kept)
-    assert sub.min_degree() >= density(g)
+    sub = g.induced(kept)
+    assert sub.min_degree() >= g.density()
 
 
 def test_weighted_digraph_accessors():

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from _util import random_graph
 from cliquelab.caps import VERTEX_CAP, budget
+from cliquelab.ensembles import sample_er
 from cliquelab.errors import CapExceeded, InfeasibleError, PatternSearchTimeout
-from cliquelab.graph import Graph, Hypergraph, WeightedDigraph, induced_subgraph
+from cliquelab.graph import Graph, Hypergraph, WeightedDigraph
 from cliquelab.oracles import (
     DsnInstance,
     SteinerForestInstance,
@@ -33,6 +34,7 @@ from cliquelab.oracles import (
     smallest_k_edge_subgraph,
     steiner_k_forest,
 )
+from cliquelab.rgp import rgp
 
 
 def _nx(g: Graph) -> nx.Graph:
@@ -108,18 +110,18 @@ def test_densest_k_subgraph_matches_brute_force():
         for k in (2, 4, 6):
             vs, e = densest_k_subgraph(g, k)
             best = max(
-                len(induced_subgraph(g, c).edges())
+                len(g.induced(c).edges())
                 for c in itertools.combinations(range(g.n), k)
             )
             assert e == best
-            assert len(induced_subgraph(g, vs).edges()) == e
+            assert len(g.induced(vs).edges()) == e
 
 
 def _den_brute(g: Graph, k: int) -> Fraction:
     best = Fraction(0)
     for size in range(1, min(k, g.n) + 1):
         for vs in itertools.combinations(range(g.n), size):
-            e = len(induced_subgraph(g, vs).edges())
+            e = len(g.induced(vs).edges())
             best = max(best, Fraction(e, size))
     return best
 
@@ -168,6 +170,9 @@ def test_den_leq_k_general_matches_brute():
         g = random_graph(8, 0.5, rng)
         for k in (5, 6, 7):
             assert den_leq_k(g, k) == _den_brute(g, k)
+    for _ in range(5):
+        g = random_graph(10, 0.5, rng)
+        assert den_leq_k(g, 8) == _den_brute(g, 8)
 
 
 # -- bicliques ---------------------------------------------------------------------
@@ -205,7 +210,8 @@ def test_count_bicliques_matches_direct_enumeration():
     rng = random.Random(17)
     for _ in range(10):
         g = random_graph(8, 0.5, rng)
-        for ell in (1, 2, 3):
+        largest = 0
+        for ell in (1, 2, 3, 4):
             direct = 0
             for side in itertools.combinations(range(g.n), ell):
                 common = set(range(g.n))
@@ -213,6 +219,10 @@ def test_count_bicliques_matches_direct_enumeration():
                     common &= set(g.neighbors(u))
                 direct += math.comb(len(common - set(side)), ell)
             assert count_bicliques(g, ell) == direct
+            assert contains_ktt(g, ell) == (direct > 0)
+            if direct:
+                largest = ell
+        assert len(max_balanced_biclique(g)[0]) == largest
 
 
 def test_contains_ktt(c6, k4):
@@ -238,17 +248,14 @@ def test_skes_matches_brute_force():
     for _ in range(15):
         g = random_graph(8, 0.5, rng)
         for k in range(1, g.m + 1):
-            got = smallest_k_edge_subgraph(g, k)
-            sizes = [
-                s
+            # the lex-least set of the minimum size, as the docstring promises
+            expected = next(
+                vs
                 for s in range(1, g.n + 1)
-                if any(
-                    len(induced_subgraph(g, vs).edges()) >= k
-                    for vs in itertools.combinations(range(g.n), s)
-                )
-            ]
-            assert len(got) == sizes[0]
-            assert len(induced_subgraph(g, got).edges()) >= k
+                for vs in itertools.combinations(range(g.n), s)
+                if len(g.induced(vs).edges()) >= k
+            )
+            assert smallest_k_edge_subgraph(g, k) == expected
 
 
 # -- steiner k-forest ---------------------------------------------------------------
@@ -510,6 +517,21 @@ def test_enum_cap_respected(monkeypatch):
         densest_k_subgraph(Graph.empty(10), 5)
     monkeypatch.setenv("CLIQUELAB_CAP", "1000000")
     assert densest_k_subgraph(Graph.empty(10), 5) == ((0, 1, 2, 3, 4), 0)
+
+
+def test_skes_prunes_after_excluding_a_vertex(monkeypatch):
+    # the DkS re-bound after excluding v: 105 nodes here, 245 without it
+    monkeypatch.setenv("CLIQUELAB_CAP", "150")
+    g = sample_er(16, 0.3, seed=4)
+    assert smallest_k_edge_subgraph(g, 12) == (0, 1, 2, 5, 6, 9, 11)
+
+
+def test_den_leq_k_searches_only_for_denser_sets(monkeypatch):
+    # each size s looks only for more than floor(value * s) edges: 1570 nodes
+    # here, 2826 when every size searched for its own maximum
+    monkeypatch.setenv("CLIQUELAB_CAP", "2000")
+    product, _ = rgp(sample_er(60, Fraction(1, 2), 711), 500, 2, 711)
+    assert den_leq_k(product, 5) == 2
 
 
 def test_nested_searches_share_the_outer_count(monkeypatch):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from _util import random_graph
-from cliquelab.graph import Graph, induced_subgraph, is_clique
+from cliquelab.graph import Graph
 from cliquelab.oracles import (
     count_cliques,
     densest_k_subgraph,
@@ -46,7 +46,7 @@ def test_dks_from_biclique_pads_with_low_ids():
     g = Graph(6, [(0, 3), (0, 4), (1, 3), (1, 4)])
     got = dks_from_biclique(g, 5, ((0, 1), (3, 4)))
     assert got == (0, 1, 2, 3, 4)  # pad with 2, the lowest unused id
-    sub = induced_subgraph(g, got)
+    sub = g.induced(got)
     assert len(sub.edges()) >= 4  # t^2 with t = 2
 
 
@@ -70,13 +70,13 @@ def test_dks_via_skes_matches_exhaustive():
         k = 4
         got = dks_via_skes(g, k, s)
         assert set(got) <= set(s)
-        e_got = len(induced_subgraph(g, got).edges())
+        e_got = len(g.induced(got).edges())
         best = max(
-            len(induced_subgraph(g, c).edges())
+            len(g.induced(c).edges())
             for c in itertools.combinations(s, k)
         )
         assert e_got == best
-        e_s = len(induced_subgraph(g, s).edges())
+        e_s = len(g.induced(s).edges())
         assert e_got >= math.ceil(Fraction(k * (k - 1), len(s) * (len(s) - 1)) * e_s)
 
 
@@ -182,7 +182,7 @@ def test_dksh_hyperedges_inside_match_clique_count():
         hyper, rho, ell, _ = biclique_to_dksh(g, k=3, ell=1)
         s = tuple(sorted(rng.sample(range(8), 5)))
         inside = len(hyper.edges_inside(s))
-        assert inside == count_cliques(induced_subgraph(g, s), 2 * ell)
+        assert inside == count_cliques(g.induced(s), 2 * ell)
 
 
 def test_extract_dksh_solution_reaches_threshold():

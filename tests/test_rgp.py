@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from _util import random_graph
 from cliquelab.caps import VERTEX_CAP
 from cliquelab.errors import CapExceeded
-from cliquelab.graph import Graph, is_clique
+from cliquelab.graph import Graph
 from cliquelab.rgp import (
     SIDE_CONDITION_NAMES,
     RgpParams,

@@ -8,6 +8,7 @@ import pytest
 from cliquelab.caps import budget
 from cliquelab.errors import BudgetExceeded, CapExceeded
 from cliquelab.graph import Graph
+from cliquelab.reductions import dks_via_skes
 from cliquelab.verify import (
     DIAGNOSTIC,
     INVARIANT_FAIL,
@@ -244,14 +245,16 @@ def test_verify_averaging_fixed_instance():
     assert verify_averaging(Graph.complete(5), range(5), 3)
 
 
-def test_verify_averaging_refuses_oversized_enumeration_up_front(monkeypatch):
-    # C(12, 6) = 924 subsets exceed the cap; none of them is induced
+def test_averaging_counts_search_nodes_not_subsets(monkeypatch):
+    # C(12, 6) = 924 subsets exceed the cap, but the DkS search on K12 needs
+    # 7 nodes; on the empty graph it expands 793 and is refused
     monkeypatch.setenv("CLIQUELAB_CAP", "100")
-    monkeypatch.setattr(
-        Graph, "induced", lambda *a: pytest.fail("enumerated before refusing")
-    )
-    with pytest.raises(CapExceeded, match="k-subsets of S"):
-        verify_averaging(Graph.complete(12), range(12), 6)
+    assert verify_averaging(Graph.complete(12), range(12), 6)
+    assert dks_via_skes(Graph.complete(12), 6, range(12)) == (0, 1, 2, 3, 4, 5)
+    with pytest.raises(CapExceeded, match="k-subset search"):
+        verify_averaging(Graph.empty(12), range(12), 6)
+    with pytest.raises(CapExceeded, match="k-subset search"):
+        dks_via_skes(Graph.empty(12), 6, range(12))
 
 
 def test_verify_averaging_trials_pass():
