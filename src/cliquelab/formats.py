@@ -15,8 +15,10 @@ import tempfile
 from fractions import Fraction
 from typing import Any, Mapping
 
+import numpy as np
+
 from .caps import check_budget
-from .graph import Graph, Hypergraph, WeightedDigraph
+from .graph import Graph, Hypergraph, WeightedDigraph, _check_n
 from .oracles import DsnInstance, SteinerForestInstance
 from .rgp import SubsetFamily
 
@@ -62,11 +64,7 @@ def _meta_lines(meta: Mapping[str, str] | None) -> list[str]:
 
 def _data_lines(text: str, expected_tag: str) -> tuple[list[str], list[str]]:
     """Split into (header fields, item lines), dropping comments and blanks."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise ValueError("empty input")
     header = lines[0].split()
@@ -85,27 +83,42 @@ def dump_graph(g: Graph, meta: Mapping[str, str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Edge lines parsed between two polls of the budget's deadline.
+_POLL_LINES = 65536
+
+
 def load_graph(text: str) -> Graph:
     header, body = _data_lines(text, "g")
     if len(header) != 3:
         raise ValueError(f"graph header must be 'g <n> <m>', got {header}")
     n, m = int(header[1]), int(header[2])
+    _check_n(n)  # before the n x n matrix below is allocated
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)} lines")
-    edges = []
-    for i, ln in enumerate(body):
-        if not i % 65536:
-            check_budget(0)  # the deadline only: parsing expands no search node
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not u < v:
-            raise ValueError(f"edge lines must satisfy u < v, got {ln!r}")
-        edges.append((u, v))
-    if len(set(edges)) != m:
+    tokens: list[str] = []
+    for lo in range(0, m, _POLL_LINES):
+        check_budget(0)  # the deadline only: parsing expands no search node
+        block = body[lo : lo + _POLL_LINES]
+        if set(map(len, map(str.split, block))) - {2}:
+            bad = next(ln for ln in block if len(ln.split()) != 2)
+            raise ValueError(f"malformed edge line {bad!r}")
+        tokens.extend(" ".join(block).split())
+    try:
+        u, v = np.array(tokens, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError as exc:
+        raise ValueError(f"edge endpoint beyond int64, out of range for n={n}") from exc
+    bad = np.flatnonzero(u >= v)
+    if bad.size:
+        raise ValueError(f"edge lines must satisfy u < v, got {body[bad[0]]!r}")
+    bad = np.flatnonzero((u < 0) | (v >= n))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for n={n}")
+    adj = np.zeros((n, n), dtype=bool)
+    adj[u, v] = True
+    if np.count_nonzero(adj) != m:
         raise ValueError("duplicate edge lines")
-    return Graph(n, edges)
+    return Graph.from_bool_matrix(adj | adj.T)
 
 
 # -- weighted digraphs ----------------------------------------------------------
@@ -267,6 +280,9 @@ def load_dsn(text: str) -> DsnInstance:
     d = json.loads(text)
     if d.get("type") != "dsn":
         raise ValueError(f"expected type dsn, got {d.get('type')!r}")
-    dg = WeightedDigraph(d["n"], [(a[0], a[1], parse_weight(a[2])) for a in d["arcs"]])
+    arcs = [(a[0], a[1], parse_weight(a[2])) for a in d["arcs"]]
+    if len({(u, v) for u, v, _ in arcs}) != len(arcs):
+        raise ValueError("duplicate arc entries")
+    dg = WeightedDigraph(d["n"], arcs)
     demands = tuple(tuple(p) for p in d["demands"])
     return DsnInstance(digraph=dg, demands=demands)

@@ -26,21 +26,28 @@ from .graph import Graph, Hypergraph, WeightedDigraph, _bits
 # -- cliques -------------------------------------------------------------------
 
 
-def _color_bound(rows: Sequence[int], candidates: int) -> int:
-    """Greedy proper coloring of the candidate subgraph; class count bounds
-    any clique inside it."""
-    colors = 0
+def _color_classes(rows: Sequence[int], candidates: int) -> tuple[dict[int, int], list[int]]:
+    """Greedy proper coloring of the candidate subgraph, lowest vertex first:
+    (class of each vertex, size of each class).  A proper coloring stays
+    proper on any subset, so the non-empty classes among the candidates left
+    bound any clique inside them."""
+    color_of: dict[int, int] = {}
+    sizes: list[int] = []
     remaining = candidates
     while remaining:
-        colors += 1
+        color = len(sizes)
+        size = 0
         avail = remaining
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
+            color_of[v] = color
+            size += 1
             remaining ^= low
             avail &= ~rows[v]
             avail ^= low
-    return colors
+        sizes.append(size)
+    return color_of, sizes
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:
@@ -51,7 +58,9 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     def dfs(clique: list[int], candidates: int) -> None:
         nonlocal best
         check_budget()
-        if len(clique) + _color_bound(rows, candidates) <= len(best):
+        color_of, sizes = _color_classes(rows, candidates)
+        colors = len(sizes)
+        if len(clique) + colors <= len(best):
             return
         for v in _bits(candidates):
             higher = ~((1 << (v + 1)) - 1)
@@ -62,8 +71,12 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             if nxt:
                 dfs(clique, nxt)
             clique.pop()
-            candidates &= ~(1 << v)
-            if len(clique) + _color_bound(rows, candidates) <= len(best):
+            # exclude v: its class shrinks, and the bound drops once it empties
+            color = color_of[v]
+            sizes[color] -= 1
+            if not sizes[color]:
+                colors -= 1
+            if len(clique) + colors <= len(best):
                 return
 
     if g.n:

@@ -50,16 +50,41 @@ def test_graph_text_shape(triangle):
 
 
 def test_load_graph_rejections():
-    with pytest.raises(ValueError):
-        load_graph("g 3 1\n1 0\n")  # u < v required
-    with pytest.raises(ValueError):
-        load_graph("g 3 2\n0 1\n")  # count mismatch
-    with pytest.raises(ValueError):
-        load_graph("g 3 2\n0 1\n0 1\n")  # duplicate
-    with pytest.raises(ValueError):
-        load_graph("d 3 0\n")  # wrong tag
-    with pytest.raises(ValueError):
-        load_graph("")
+    cases = {
+        "g 3 1\n0 1 2\n": "malformed edge line '0 1 2'",
+        "g 3 1\n1\n": "malformed edge line '1'",
+        "g 3 1\n1 0\n": "edge lines must satisfy u < v, got '1 0'",
+        "g 3 1\n1 1\n": "edge lines must satisfy u < v, got '1 1'",
+        "g 3 1\n0 3\n": r"edge \(0, 3\) out of range for n=3",
+        "g 3 1\n-1 2\n": r"edge \(-1, 2\) out of range for n=3",
+        "g 3 2\n0 1\n0 1\n": "duplicate edge lines",
+        "g 3 2\n0 1\n": "header promises 2 edges, found 1 lines",
+        "g 3 1\n99999999999999999999 1\n": "out of range for n=3",
+        "g 3 1\n1 99999999999999999999\n": "out of range for n=3",
+        "g 3 1\nx 1\n": "invalid literal",
+        "d 3 0\n": "expected header tag 'g'",
+        "": "empty input",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ValueError, match=message):
+            load_graph(text)
+
+
+def test_load_graph_skips_comments_and_blanks_and_reads_tabs():
+    text = "g 4 3\n# a: b\n0 1\n\n  # note\n1\t2\n\n 2 \t 3 \n"
+    assert load_graph(text) == Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert load_graph("g 0 0\n") == Graph.empty(0)
+    assert load_graph("g 2 0\n# nothing\n") == Graph.empty(2)
+
+
+def test_load_graph_polls_the_budget_every_65536_lines(monkeypatch):
+    import cliquelab.formats as formats
+
+    polls = []
+    monkeypatch.setattr(formats, "check_budget", lambda steps=1: polls.append(steps))
+    g = Graph(400, [(u, v) for u in range(400) for v in range(u + 1, 400)][:70000])
+    assert formats.load_graph(dump_graph(g)) == g
+    assert polls == [0, 0]
 
 
 def test_load_graph_polls_the_budget(triangle):
@@ -187,6 +212,12 @@ def test_dsn_round_trip():
     assert load_dsn(dump_dsn(inst)) == inst
     with pytest.raises(ValueError):
         load_steiner(dump_dsn(inst))
+
+
+def test_load_dsn_rejects_duplicate_arcs():
+    text = '{"type": "dsn", "n": 2, "arcs": [[0, 1, "1"], [0, 1, "1"]], "demands": [[0, 1]]}'
+    with pytest.raises(ValueError, match="duplicate arc"):
+        load_dsn(text)
 
 
 def test_atomic_write(tmp_path):

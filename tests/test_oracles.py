@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from _util import random_graph
 from cliquelab.caps import VERTEX_CAP, budget
-from cliquelab.ensembles import sample_er
+from cliquelab.ensembles import sample_er, sample_planted
 from cliquelab.errors import CapExceeded, InfeasibleError, PatternSearchTimeout
-from cliquelab.graph import Graph, Hypergraph, WeightedDigraph
+from cliquelab.graph import Graph, Hypergraph, WeightedDigraph, _bits
 from cliquelab.oracles import (
     DsnInstance,
     SteinerForestInstance,
@@ -72,6 +72,77 @@ def test_max_clique_against_networkx(n, seed):
     best_nx = max(len(c) for c in nx.find_cliques(_nx(g)))
     assert len(ours) == best_nx
     assert g.is_clique(ours)
+
+
+def _lex_least_max_clique(g: Graph) -> tuple[int, ...]:
+    for size in range(g.n, 0, -1):
+        for vs in itertools.combinations(range(g.n), size):
+            if g.is_clique(vs):
+                return vs
+    return ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_max_clique_is_the_lex_least_maximum(n, p, seed):
+    g = random_graph(n, p, random.Random(seed))
+    assert max_clique(g) == _lex_least_max_clique(g)
+
+
+def _max_clique_reference(g: Graph) -> tuple[int, ...]:
+    """The former max_clique: the candidates left are recoloured after every
+    excluded vertex."""
+    rows = [g.row(u) for u in range(g.n)]
+    best: list[int] = []
+
+    def color_bound(candidates: int) -> int:
+        colors = 0
+        remaining = candidates
+        while remaining:
+            colors += 1
+            avail = remaining
+            while avail:
+                low = avail & -avail
+                remaining ^= low
+                avail &= ~rows[low.bit_length() - 1]
+                avail ^= low
+        return colors
+
+    def dfs(clique: list[int], candidates: int) -> None:
+        nonlocal best
+        if len(clique) + color_bound(candidates) <= len(best):
+            return
+        for v in _bits(candidates):
+            nxt = candidates & rows[v] & ~((1 << (v + 1)) - 1)
+            clique.append(v)
+            if len(clique) > len(best):
+                best = clique.copy()
+            if nxt:
+                dfs(clique, nxt)
+            clique.pop()
+            candidates &= ~(1 << v)
+            if len(clique) + color_bound(candidates) <= len(best):
+                return
+
+    if g.n:
+        dfs([], (1 << g.n) - 1)
+    return tuple(best) or (0,)[: g.n]
+
+
+@pytest.mark.parametrize("N", [500, 2000])
+@pytest.mark.parametrize("arm", ["null", "planted"])
+def test_max_clique_matches_the_recolouring_search_on_products(arm, N):
+    for index in range(2):
+        if arm == "null":
+            g = sample_er(60, Fraction(1, 2), 933, index)
+        else:
+            g = sample_planted(60, Fraction(1, 2), 20, 933, index).graph
+        product, _ = rgp(g, N, 2, 933, index)
+        assert max_clique(product) == _max_clique_reference(product)
 
 
 def test_count_cliques_complete_graph():

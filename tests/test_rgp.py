@@ -103,6 +103,19 @@ def test_edge_rule_checker_catches_tampering():
     assert rep.violation_count >= 1
 
 
+def test_edge_rule_checker_catches_tampering_in_the_last_chunk():
+    # at N = 2100 the checker works in chunks of (1 << 22) // 2100 = 1997 rows
+    g = Graph.cycle(7)
+    prod, fam = rgp(g, 2100, 2, 5)
+    u, v = 2050, 2080
+    edges = set(prod.edges()) ^ {(u, v)}
+    rep = check_edge_rule(g, fam, Graph(prod.n, edges))
+    assert not rep.ok
+    assert rep.violation_count == 1
+    genuine = prod.has_edge(u, v)
+    assert sorted(rep.sample) == [(u, v, genuine, not genuine), (v, u, genuine, not genuine)]
+
+
 def test_implied_edges_are_source_edges():
     rng = random.Random(11)
     for _ in range(10):
