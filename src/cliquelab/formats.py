@@ -121,7 +121,7 @@ def load_graph(text: str) -> Graph:
     return Graph.from_bool_matrix(adj | adj.T)
 
 
-# -- weighted digraphs ----------------------------------------------------------
+# -- exact weights --------------------------------------------------------------
 
 
 def format_weight(w: Fraction) -> str:
@@ -149,32 +149,6 @@ def format_weight(w: Fraction) -> str:
 
 def parse_weight(s: str) -> Fraction:
     return Fraction(s)
-
-
-def dump_digraph(d: WeightedDigraph, meta: Mapping[str, str] | None = None) -> str:
-    arcs = d.arcs()
-    lines = [f"d {d.n} {len(arcs)}"]
-    lines.extend(_meta_lines(meta))
-    lines.extend(f"{u} {v} {format_weight(w)}" for u, v, w in arcs)
-    return "\n".join(lines) + "\n"
-
-
-def load_digraph(text: str) -> WeightedDigraph:
-    header, body = _data_lines(text, "d")
-    if len(header) != 3:
-        raise ValueError(f"digraph header must be 'd <n> <m>', got {header}")
-    n, m = int(header[1]), int(header[2])
-    if len(body) != m:
-        raise ValueError(f"header promises {m} arcs, found {len(body)} lines")
-    arcs = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed arc line {ln!r}")
-        arcs.append((int(parts[0]), int(parts[1]), parse_weight(parts[2])))
-    if len({(u, v) for u, v, _ in arcs}) != m:
-        raise ValueError("duplicate arc lines")
-    return WeightedDigraph(n, arcs)
 
 
 # -- hypergraphs ----------------------------------------------------------------

@@ -85,11 +85,7 @@ class Graph:
             raise ValueError("self-loop on the diagonal")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency matrix must be symmetric")
-        packed = np.packbits(adj, axis=1, bitorder="little")
-        rows = tuple(
-            int.from_bytes(packed[u].tobytes(), "little") for u in range(n)
-        )
-        return cls._from_rows(n, rows)
+        return cls._from_rows(n, tuple(bit_rows(adj)))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -197,6 +193,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
+def bit_rows(bits: np.ndarray) -> list[int]:
+    """Row r of a 2-D boolean array as the int with bit c set iff bits[r, c]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [
+        int.from_bytes(buf[r * width : (r + 1) * width], "little")
+        for r in range(packed.shape[0])
+    ]
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     v = 0
@@ -241,7 +248,7 @@ Weight = Fraction | int
 class WeightedDigraph:
     """Directed graph with exact non-negative arc weights, no self-arcs."""
 
-    __slots__ = ("n", "_weights", "_out")
+    __slots__ = ("n", "_weights")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, Weight]] = ()):
         _check_n(n)
@@ -259,10 +266,6 @@ class WeightedDigraph:
                 raise ValueError(f"conflicting weights for arc ({u}, {v})")
             weights[(u, v)] = w
         self._weights = weights
-        out: dict[int, list[int]] = {}
-        for u, v in weights:
-            out.setdefault(u, []).append(v)
-        self._out = {u: tuple(sorted(vs)) for u, vs in out.items()}
 
     @property
     def arc_count(self) -> int:
@@ -271,14 +274,8 @@ class WeightedDigraph:
     def arcs(self) -> list[tuple[int, int, Fraction]]:
         return [(u, v, self._weights[(u, v)]) for u, v in sorted(self._weights)]
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._weights
-
     def weight(self, u: int, v: int) -> Fraction:
         return self._weights[(u, v)]
-
-    def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._out.get(u, ())
 
     def __eq__(self, other: object) -> bool:
         return (

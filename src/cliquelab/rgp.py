@@ -3,9 +3,11 @@
 A product instance is defined by a family of N vertex subsets of the source
 graph, each the deduplicated result of ell uniform draws with replacement.
 Product vertices i and j are adjacent exactly when the union of their subsets
-induces a clique in the source.  Construction is vectorized over packed
-64-bit words; an independent checker re-derives every edge decision through
-a different formulation (counting forbidden pairs by matrix products).
+induces a clique in the source.  The family is kept as the (N, ell) array of
+its draws.  Construction computes each adjacency row as ell + 1 ANDs of N-bit
+index masks, built from the source graph's closed neighborhoods; an
+independent checker re-derives every edge decision through a different
+formulation (counting forbidden pairs by matrix products).
 """
 
 from __future__ import annotations
@@ -29,58 +31,90 @@ from .exactmath import (
     compare_pow,
     exact_log2,
 )
-from .graph import Graph
+from .graph import Graph, bit_rows
 
 
-def _word_count(n: int) -> int:
-    return max(1, (n + 63) // 64)
-
-
-def _int_to_words(mask: int, words: int) -> np.ndarray:
-    return np.frombuffer(mask.to_bytes(words * 8, "little"), dtype=np.uint64)
-
-
-@dataclass(frozen=True)
 class SubsetFamily:
-    """N subsets of the source vertex set, each from ell draws with replacement."""
+    """N subsets of the source vertex set, each from ell draws with replacement.
 
-    source_n: int
-    ell: int
-    sets: tuple[tuple[int, ...], ...]
+    The family is held as `draws`, a read-only (N, ell) integer array whose
+    row i lists the members of set i in ascending order, with a member
+    repeated where draws coincided (or, for a family built from its sets, to
+    fill the row).  The tuples `sets` and bitmasks `masks` are derived from it
+    on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if self.source_n < 1:
+    __slots__ = ("source_n", "ell", "draws", "_sets", "_masks")
+
+    def __init__(self, source_n: int, ell: int, sets: Sequence[Sequence[int]]):
+        if source_n < 1:
             raise ValueError("source_n must be positive")
-        if self.ell < 1:
+        if ell < 1:
             raise ValueError("ell must be positive")
-        for s in self.sets:
-            if not 1 <= len(s) <= self.ell:
-                raise ValueError(f"set {s} has size outside 1..{self.ell}")
+        sets = tuple(tuple(s) for s in sets)
+        for s in sets:
+            if not 1 <= len(s) <= ell:
+                raise ValueError(f"set {s} has size outside 1..{ell}")
             if list(s) != sorted(set(s)):
                 raise ValueError(f"set {s} is not sorted and deduplicated")
-            if s[0] < 0 or s[-1] >= self.source_n:
-                raise ValueError(f"set {s} out of range for n={self.source_n}")
+            if s[0] < 0 or s[-1] >= source_n:
+                raise ValueError(f"set {s} out of range for n={source_n}")
+        rows = [s + s[-1:] * (ell - len(s)) for s in sets]
+        draws = np.array(rows, dtype=np.int64).reshape(len(rows), ell)
+        self._init(source_n, ell, draws)
+        self._sets = sets
+
+    @classmethod
+    def _from_draws(cls, source_n: int, ell: int, draws: np.ndarray) -> "SubsetFamily":
+        """A family from an (N, ell) array of in-range draws sorted along each row."""
+        fam = cls.__new__(cls)
+        fam._init(source_n, ell, draws)
+        return fam
+
+    def _init(self, source_n: int, ell: int, draws: np.ndarray) -> None:
+        draws.flags.writeable = False
+        self.source_n = source_n
+        self.ell = ell
+        self.draws = draws
+        self._sets = None
+        self._masks = None
 
     @property
     def N(self) -> int:
-        return len(self.sets)
+        return self.draws.shape[0]
 
-    @cached_property
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        if self._sets is None:
+            # rows are sorted, so dropping repeats leaves each set in order
+            self._sets = tuple(tuple(dict.fromkeys(row)) for row in self.draws.tolist())
+        return self._sets
+
+    @property
     def masks(self) -> tuple[int, ...]:
-        out = []
-        for s in self.sets:
-            m = 0
-            for u in s:
-                m |= 1 << u
-            out.append(m)
-        return tuple(out)
+        if self._masks is None:
+            self._masks = tuple(bit_rows(self.membership()))
+        return self._masks
 
-    def member_words(self) -> np.ndarray:
-        w = _word_count(self.source_n)
-        arr = np.empty((self.N, w), dtype=np.uint64)
-        for i, mask in enumerate(self.masks):
-            arr[i] = _int_to_words(mask, w)
-        return arr
+    def membership(self) -> np.ndarray:
+        """(N, source_n) boolean matrix, True where set i holds vertex u."""
+        member = np.zeros((self.N, self.source_n), dtype=bool)
+        member[np.arange(self.N)[:, None], self.draws] = True
+        return member
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, SubsetFamily)
+            and self.source_n == other.source_n
+            and self.ell == other.ell
+            and self.sets == other.sets
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source_n, self.ell, self.sets))
+
+    def __repr__(self) -> str:
+        return f"SubsetFamily(source_n={self.source_n}, ell={self.ell}, N={self.N})"
 
 
 def sample_family(
@@ -91,8 +125,8 @@ def sample_family(
         raise ValueError("need n >= 1, N >= 1, ell >= 1")
     rng = as_seed(seed).stream("rgp-family", index)
     draws = rng.integers(0, n, size=(N, ell))
-    sets = tuple(tuple(sorted(set(row))) for row in draws.tolist())
-    return SubsetFamily(source_n=n, ell=ell, sets=sets)
+    draws.sort(axis=1)
+    return SubsetFamily._from_draws(n, ell, draws)
 
 
 def product_edge(g: Graph, fam: SubsetFamily, i: int, j: int) -> bool:
@@ -103,54 +137,49 @@ def product_edge(g: Graph, fam: SubsetFamily, i: int, j: int) -> bool:
     return g.is_clique(union)
 
 
-def _common_allowed_words(g: Graph, fam: SubsetFamily) -> np.ndarray:
-    """Per set, the AND over members u of (N(u) | {u}), packed into words.
-
-    A vertex union U induces a clique iff U is contained in the intersection
-    of the closed neighborhoods of its members, which factors over the two
-    sets of a pair; this is what makes the pair sweep a pure bit operation.
-    """
-    n = g.n
-    w = _word_count(n)
-    allowed = np.empty((n, w), dtype=np.uint64)
-    for u in range(n):
-        allowed[u] = _int_to_words(g.row(u) | (1 << u), w)
-    out = np.empty((fam.N, w), dtype=np.uint64)
-    for i, s in enumerate(fam.sets):
-        acc = allowed[s[0]].copy()
-        for u in s[1:]:
-            acc &= allowed[u]
-        out[i] = acc
-    return out
+def _refuse_above_cap(N: int) -> None:
+    if N > VERTEX_CAP:
+        raise CapExceeded(f"product on {N} vertices exceeds the vertex cap {VERTEX_CAP}")
 
 
 def product_graph(g: Graph, fam: SubsetFamily) -> Graph:
-    """Materialize the product graph for the given family."""
+    """Materialize the product graph for the given family.
+
+    Let A_j be the intersection of the closed neighborhoods of S_j's members.
+    The union of S_i and S_j is a clique iff both sets are cliques (S_i within
+    A_i, S_j within A_j) and S_i lies within A_j.  That last condition says
+    every member of S_i is adjacent or equal to every member of S_j, so it
+    also gives S_j within A_i.  Over N-bit index masks, with C the indices of
+    clique sets and P_u the indices j with u in A_j, the row of i in C is
+    C & AND_{u in S_i} P_u less bit i; the row of a set that is no clique is
+    empty.
+    """
     if fam.source_n != g.n:
         raise ValueError("family was drawn from a different vertex count")
     N = fam.N
-    if N > VERTEX_CAP:
-        raise CapExceeded(f"product on {N} vertices exceeds the vertex cap {VERTEX_CAP}")
-    member = fam.member_words()
-    common = _common_allowed_words(g, fam)
-    w = member.shape[1]
-    adj = np.zeros((N, N), dtype=bool)
-    chunk = max(1, (1 << 23) // max(N, 1))
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        bad = np.zeros((hi - lo, N), dtype=bool)
-        for wi in range(w):
-            mu = member[lo:hi, wi, None] | member[None, :, wi]
-            al = common[lo:hi, wi, None] & common[None, :, wi]
-            bad |= (mu & ~al) != 0
-        adj[lo:hi] = ~bad
-    np.fill_diagonal(adj, False)
-    return Graph.from_bool_matrix(adj)
+    _refuse_above_cap(N)
+    closed = g.to_bool_matrix() | np.eye(g.n, dtype=bool)
+    draws = fam.draws
+    allowed = closed[draws[:, 0]]
+    for c in range(1, fam.ell):
+        allowed &= closed[draws[:, c]]
+    clique = np.take_along_axis(allowed, draws, axis=1).all(axis=1)
+    P = bit_rows(allowed.T)
+    C = bit_rows(clique[None, :])[0]
+    rows = [0] * N
+    idx = np.flatnonzero(clique)
+    for i, members in zip(idx.tolist(), draws[idx].tolist()):
+        row = C
+        for u in members:
+            row &= P[u]
+        rows[i] = row & ~(1 << i)
+    return Graph._from_rows(N, tuple(rows))
 
 
 def rgp(
     g: Graph, N: int, ell: int, seed: int | Seed, index: int = 0
 ) -> tuple[Graph, SubsetFamily]:
+    _refuse_above_cap(N)
     fam = sample_family(g.n, N, ell, seed, index)
     return product_graph(g, fam), fam
 
@@ -169,15 +198,14 @@ def check_edge_rule(g: Graph, fam: SubsetFamily, product: Graph) -> EdgeRuleRepo
     For each pair, counts ordered (u, v) with u, v in the union and v outside
     u's closed neighborhood: the pairs inside set i, those inside set j, and
     those from set i to set j.  The union induces a clique iff the count is
-    zero.  The count is assembled from dense matrix products, sharing no code
-    with the word-packed construction sweep.
+    zero.  The count is assembled from dense float32 matrix products, sharing
+    no code with product_graph's row build.
     """
     if fam.source_n != g.n or product.n != fam.N:
         raise ValueError("mismatched source graph, family, or product")
     N, n = fam.N, g.n
     B = np.zeros((N, n), dtype=np.float32)
-    for i, s in enumerate(fam.sets):
-        B[i, list(s)] = 1.0
+    B[np.arange(N)[:, None], fam.draws] = 1.0
     closed = g.to_bool_matrix() | np.eye(n, dtype=bool)
     F = (~closed).astype(np.float32)
     D = B @ F  # D[i, v] = how many members of set i forbid v
@@ -425,17 +453,21 @@ def check_disperser(
     for i in range(N):
         note((i,), sizes[i])
     if T >= 2 and N >= 2:
-        words = fam.member_words()
+        # the membership bits packed into bytes, read eight bytes at a time
+        packed = np.packbits(fam.membership(), axis=1)
+        words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
         best_pop = None
         best_pair = None
+        # an integer union size lies below threshold(2) iff it lies below its ceiling
+        limit = math.ceil(threshold(2))
+        first_poor: list[tuple[int, int, int]] = []  # violating pairs, row by row
+        poor_count = 0
         chunk = max(1, (1 << 22) // max(N, 1))
         for lo in range(0, N, chunk):
             hi = min(lo + chunk, N)
             pops = np.zeros((hi - lo, N), dtype=np.uint32)
             for wi in range(words.shape[1]):
-                pops += np.bitwise_count(
-                    words[lo:hi, wi, None] | words[None, :, wi]
-                ).astype(np.uint32)
+                pops += np.bitwise_count(words[lo:hi, wi, None] | words[None, :, wi])
             iu = np.triu_indices(hi - lo, 1 + lo, N)
             block = pops[iu] if iu[0].size else np.empty(0, dtype=np.uint32)
             if block.size:
@@ -444,15 +476,21 @@ def check_disperser(
                 if best_pop is None or pop < best_pop:
                     best_pop = pop
                     best_pair = (int(iu[0][pos]) + lo, int(iu[1][pos]))
+                bad = np.flatnonzero(block < limit)
+                poor_count += bad.size
+                bad = bad[: 101 - len(first_poor)]
+                rows, cols = iu[0][bad] + lo, iu[1][bad]
+                first_poor.extend(zip(rows.tolist(), cols.tolist(), block[bad].tolist()))
         if best_pair is not None:
             note(best_pair, best_pop)
-        # Violating pairs (if any) must all be recorded, not just the minimum.
-        if best_pop is not None and best_pop < threshold(2):
-            for i in range(N):
-                for j in range(i + 1, N):
-                    pop = (masks[i] | masks[j]).bit_count()
-                    if pop < threshold(2) and (i, j) != best_pair:
-                        note((i, j), pop)
+        # Violating pairs (if any) must all be counted, not just the minimum.
+        # note() records at most 100 violations, so the first 101 violating
+        # pairs hold every one it can record; the rest are only counted.
+        others = [(i, j, pop) for i, j, pop in first_poor if (i, j) != best_pair]
+        for i, j, pop in others:
+            note((i, j), pop)
+        if poor_count:
+            violation_count += poor_count - 1 - len(others)
 
     if mode == "exhaustive":
         thr_max = threshold(T)

@@ -116,17 +116,6 @@ def test_weight_round_trip(w):
     assert parse_weight(format_weight(w)) == w
 
 
-def test_digraph_text_round_trip():
-    from cliquelab.formats import dump_digraph, load_digraph
-
-    d = WeightedDigraph(
-        4, [(0, 1, Fraction(1, 2)), (1, 0, Fraction(3)), (2, 3, Fraction(1, 3))]
-    )
-    text = dump_digraph(d)
-    assert text.splitlines()[0] == "d 4 3"
-    assert load_digraph(text) == d
-
-
 def test_hypergraph_round_trip():
     h = Hypergraph(6, [(0, 1, 2), (3, 5), (2, 4)])
     assert load_hypergraph(dump_hypergraph(h)) == h

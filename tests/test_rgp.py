@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from _util import random_graph
 from cliquelab.caps import VERTEX_CAP
+from cliquelab.ensembles import as_seed
 from cliquelab.errors import CapExceeded
+from cliquelab.formats import dump_family, load_family
 from cliquelab.graph import Graph
 from cliquelab.rgp import (
     SIDE_CONDITION_NAMES,
@@ -37,6 +41,29 @@ def test_family_shape_and_determinism():
         assert all(0 <= v < 10 for v in s)
     assert fam == sample_family(10, 25, 3, 4)
     assert fam != sample_family(10, 25, 3, 5)
+
+
+@pytest.mark.parametrize(
+    ("n", "N", "ell", "seed", "index"),
+    [(10, 25, 3, 4, 0), (7, 60, 2, 7, 3), (60, 2000, 2, 1011, 11), (5, 9, 6, 0, 1)],
+)
+def test_family_sets_follow_the_raw_draw_stream(n, N, ell, seed, index):
+    raw = as_seed(seed).stream("rgp-family", index).integers(0, n, size=(N, ell))
+    fam = sample_family(n, N, ell, seed, index)
+    assert fam.sets == tuple(tuple(sorted(set(row))) for row in raw.tolist())
+    assert fam.masks == tuple(sum(1 << u for u in s) for s in fam.sets)
+
+
+def test_family_from_sets_equals_the_sampled_family():
+    fam = sample_family(6, 50, 3, 2)
+    built = SubsetFamily(source_n=6, ell=3, sets=fam.sets)
+    loaded = load_family(dump_family(fam))
+    # a set of two members pads its row differently from the draws it came from
+    assert not (built.draws == fam.draws).all()
+    assert built == fam == loaded
+    assert hash(built) == hash(fam) == hash(loaded)
+    assert built != SubsetFamily(source_n=7, ell=3, sets=fam.sets)
+    assert built != SubsetFamily(source_n=6, ell=4, sets=fam.sets)
 
 
 def test_family_validation():
@@ -71,6 +98,32 @@ def test_product_graph_matches_pairwise_rule():
         for i in range(fam.N):
             for j in range(i + 1, fam.N):
                 assert prod.has_edge(i, j) == product_edge(g, fam, i, j)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("source", ["empty", "complete", "random"])
+def test_row_build_matches_the_literal_rule(ell, source):
+    n = 7
+    rng = random.Random(ell)
+    for seed in range(4):
+        if source == "empty":
+            g = Graph.empty(n)
+        elif source == "complete":
+            g = Graph.complete(n)
+        else:
+            g = random_graph(n, 0.5, rng)
+        # 40 sets over 7 vertices: repeated sets in every family
+        fam = sample_family(n, 40, ell, 100 + seed)
+        assert len(set(fam.sets)) < fam.N
+        if source == "random" and ell > 1:
+            assert not all(g.is_clique(s) for s in fam.sets)
+        prod = product_graph(g, fam)
+        for i in range(fam.N):
+            for j in range(fam.N):
+                assert prod.has_edge(i, j) == product_edge(g, fam, i, j)
+        # the load_family path: the same sets, rows padded another way
+        built = SubsetFamily(source_n=n, ell=ell, sets=fam.sets)
+        assert product_graph(g, built) == prod
 
 
 @settings(max_examples=25, deadline=None)
@@ -245,6 +298,78 @@ def test_disperser_sampled_mode_agrees_on_pass():
     )
 
 
+def _pair_sweep_reference(fam, delta):
+    """Depth <= 2 of the disperser check as plain pairwise mask unions."""
+    masks = [sum(1 << u for u in s) for s in fam.sets]
+    notes = [((i,), masks[i].bit_count()) for i in range(fam.N)]
+    notes += [
+        ((i, j), (masks[i] | masks[j]).bit_count())
+        for i in range(fam.N)
+        for j in range(i + 1, fam.N)
+    ]
+    worst_ratio = worst_set = None
+    violations = []
+    for members, size in notes:
+        ratio = Fraction(size, len(members) * fam.ell)
+        if worst_ratio is None or ratio < worst_ratio:
+            worst_ratio, worst_set = ratio, members
+        thr = Fraction(1, 100) * delta * len(members) * fam.ell
+        if size < thr:
+            violations.append((members, size, thr))
+    return worst_ratio, worst_set, sorted(violations)
+
+
+def test_disperser_pair_sweep_matches_pairwise_mask_unions():
+    rng = random.Random(23)
+    delta = Fraction(99, 100)
+    families = [
+        sample_family(n, N, 3, seed) for n, N, seed in ((9, 30, 1), (70, 12, 2), (3, 8, 3))
+    ]
+    for _ in range(10):
+        # at ell = 200 a set or pair covering fewer than 2 or 4 vertices violates
+        n = rng.randint(3, 70)
+        sets = [
+            tuple(sorted(rng.sample(range(n), rng.randint(1, 3))))
+            for _ in range(rng.randint(2, 12))
+        ]
+        families.append(SubsetFamily(source_n=n, ell=200, sets=sets))
+    for fam in families:
+        worst_ratio, worst_set, violations = _pair_sweep_reference(fam, delta)
+        rep = check_disperser(fam, delta, 2)
+        assert len(violations) < 100
+        assert (rep.worst_ratio, rep.worst_set) == (worst_ratio, worst_set)
+        assert list(rep.violations) == violations
+        assert rep.violation_count == len(violations)
+    # past 100 violations the report keeps 100 of them and counts them all
+    for sets in ([(0,)] * 30, [(u % 3,) for u in range(40)]):
+        fam = SubsetFamily(source_n=3, ell=200, sets=sets)
+        worst_ratio, worst_set, violations = _pair_sweep_reference(fam, delta)
+        rep = check_disperser(fam, delta, 2)
+        assert (rep.worst_ratio, rep.worst_set) == (worst_ratio, worst_set)
+        assert len(rep.violations) == 100 and set(rep.violations) <= set(violations)
+        assert rep.violation_count == len(violations)
+
+
+def test_disperser_records_violating_pairs_in_every_chunk():
+    # at N = 2100 the pair sweep works in chunks of (1 << 22) // 2100 = 1997
+    # rows; distinct 3-sets over vertices 0..29 have unions of 4 or more, and
+    # at ell = 200 only sizes below 2 (one set) or 4 (a pair) violate
+    sets = list(itertools.islice(itertools.combinations(range(30), 3), 2100))
+    sets[3], sets[2050], sets[2080] = (31,), (30,), (30, 31)
+    fam = SubsetFamily(source_n=32, ell=200, sets=sets)
+    rep = check_disperser(fam, Fraction(99, 100), 2)
+    one, two = Fraction(99, 50), Fraction(99, 25)
+    assert rep.violations == (
+        ((3,), 1, one),
+        ((3, 2050), 2, two),
+        ((3, 2080), 2, two),
+        ((2050,), 1, one),
+        ((2050, 2080), 2, two),
+    )
+    assert rep.violation_count == 5
+    assert (rep.worst_ratio, rep.worst_set) == (Fraction(1, 200), (3,))
+
+
 def test_disperser_validation():
     fam = sample_family(10, 5, 2, 0)
     with pytest.raises(ValueError):
@@ -259,3 +384,14 @@ def test_product_refuses_above_vertex_cap():
     g = Graph.complete(3)
     with pytest.raises(CapExceeded):
         product_graph(g, sample_family(3, VERTEX_CAP + 1, 2, 0))
+
+
+def test_rgp_refuses_above_vertex_cap_before_sampling(monkeypatch):
+    def sample_family_not_called(*args, **kwargs):
+        raise AssertionError("sampled a family for a product above the cap")
+
+    # `cliquelab.rgp` as an attribute is the function, so fetch the module
+    module = importlib.import_module("cliquelab.rgp")
+    monkeypatch.setattr(module, "sample_family", sample_family_not_called)
+    with pytest.raises(CapExceeded):
+        rgp(Graph.complete(3), VERTEX_CAP + 1, 2, 0)

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from cliquelab.caps import budget
+from cliquelab.ensembles import planted_kappa, sample_planted
 from cliquelab.errors import BudgetExceeded, CapExceeded
 from cliquelab.graph import Graph
 from cliquelab.reductions import dks_via_skes
+from cliquelab.rgp import sample_family
 from cliquelab.verify import (
     DIAGNOSTIC,
     INVARIANT_FAIL,
@@ -140,6 +142,19 @@ def test_completeness_passes_in_regime():
     assert rep.aggregates["success_rate"] >= 0.9
     assert all(r["witness_union_is_clique"] for r in rep.trials)
     assert rep.aggregates["mean_witness_count"] >= 1.0
+
+
+def test_completeness_witness_count_is_the_literal_subset_count():
+    n, N, seed = 25, 300, 9
+    kappa = planted_kappa(n, Fraction(1, 2))
+    rep = verify_completeness(
+        n=n, delta=Fraction(1, 2), ell=3, N=N, k=3, trials=8, seed=seed
+    )
+    for r in rep.trials:
+        clique = set(sample_planted(n, 0.5, kappa, seed, index=r["trial"]).clique)
+        fam = sample_family(n, N, 3, seed, index=r["trial"])
+        assert r["witness_count"] == sum(1 for s in fam.sets if clique.issuperset(s))
+    assert sum(r["witness_count"] for r in rep.trials) > 0
 
 
 def test_completeness_diagnostic_when_undersized():
