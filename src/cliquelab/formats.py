@@ -5,12 +5,20 @@ line per item.  Full-line `#` comments are allowed anywhere after the header
 and are ignored on load, except that `# key: value` lines are surfaced
 through parse_meta (used for planted-clique sidecars and family source
 sizes).  Steiner-forest and reachability instances travel as JSON.
+
+A graph is `g <n> <m>` followed by m edge lines.  An edge line holds two
+ASCII decimal integers u < v (an optional sign, then the digits 0-9)
+separated by spaces or tabs; `#` may only start a full line, so `0 1 # x`
+is refused.  Blank lines are skipped.  dump_graph writes the edges in
+sorted order, one `u v` line each, after the header and any `# key: value`
+lines.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from typing import Any, Mapping
@@ -18,7 +26,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .caps import check_budget
-from .graph import Graph, Hypergraph, WeightedDigraph, _check_n
+from .graph import Graph, Hypergraph, WeightedDigraph, _check_n, bit_rows
 from .oracles import DsnInstance, SteinerForestInstance
 from .rgp import SubsetFamily
 
@@ -77,36 +85,69 @@ def _data_lines(text: str, expected_tag: str) -> tuple[list[str], list[str]]:
 
 
 def dump_graph(g: Graph, meta: Mapping[str, str] | None = None) -> str:
-    lines = [f"g {g.n} {g.m}"]
-    lines.extend(_meta_lines(meta))
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    head = "\n".join([f"g {g.n} {g.m}", *_meta_lines(meta)]) + "\n"
+    u, v = np.divmod(np.flatnonzero(g.to_bool_matrix()), g.n)
+    keep = u < v
+    u, v = u[keep], v[keep]
+    # Vertex names as NUL-padded ASCII: each line is "u v\n" with the NULs dropped.
+    width = len(str(g.n - 1))
+    digits = np.arange(g.n).astype(f"S{width}").view(np.uint8).reshape(g.n, width)
+    lines = np.empty((u.size, 2 * width + 2), dtype=np.uint8)
+    lines[:, :width] = digits[u]
+    lines[:, width] = ord(" ")
+    lines[:, width + 1 : -1] = digits[v]
+    lines[:, -1] = ord("\n")
+    return head + lines[lines != 0].tobytes().decode("ascii")
 
 
 # Edge lines parsed between two polls of the budget's deadline.
 _POLL_LINES = 65536
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+_BLANKS = re.compile(r"[ \t]+")
+# Some numpy releases parse "1.5" or "2e0" as an int64 through a float, so
+# a block reaches np.loadtxt only if it holds nothing but these bytes.
+_GRAMMAR = b"0123456789+- \t"
+
+
+def _decimal(token: str) -> int:
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"invalid literal {token!r}: not an ASCII decimal integer")
+    return int(token)
+
+
+def _parse_edge_block(block: list[str], n: int) -> np.ndarray:
+    """Parse stripped edge lines into a (len(block), 2) int64 array."""
+    if not " ".join(block).encode().translate(None, _GRAMMAR):
+        try:
+            pairs = np.loadtxt(block, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            pass  # a line with another column count, or a token beyond int64
+        else:
+            if pairs.shape[1] == 2:
+                return pairs
+    for line in block:
+        tokens = _BLANKS.split(line)
+        if len(tokens) != 2:
+            raise ValueError(f"malformed edge line {line!r}")
+        for token in tokens:
+            if not -(2**63) <= _decimal(token) < 2**63:
+                raise ValueError(f"edge endpoint {token} beyond int64, out of range for n={n}")
+    raise ValueError("unparsable edge lines")
 
 
 def load_graph(text: str) -> Graph:
     header, body = _data_lines(text, "g")
     if len(header) != 3:
         raise ValueError(f"graph header must be 'g <n> <m>', got {header}")
-    n, m = int(header[1]), int(header[2])
+    n, m = _decimal(header[1]), _decimal(header[2])
     _check_n(n)  # before the n x n matrix below is allocated
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)} lines")
-    tokens: list[str] = []
+    blocks = [np.zeros((0, 2), dtype=np.int64)]
     for lo in range(0, m, _POLL_LINES):
         check_budget(0)  # the deadline only: parsing expands no search node
-        block = body[lo : lo + _POLL_LINES]
-        if set(map(len, map(str.split, block))) - {2}:
-            bad = next(ln for ln in block if len(ln.split()) != 2)
-            raise ValueError(f"malformed edge line {bad!r}")
-        tokens.extend(" ".join(block).split())
-    try:
-        u, v = np.array(tokens, dtype=np.int64).reshape(-1, 2).T
-    except OverflowError as exc:
-        raise ValueError(f"edge endpoint beyond int64, out of range for n={n}") from exc
+        blocks.append(_parse_edge_block(body[lo : lo + _POLL_LINES], n))
+    u, v = np.concatenate(blocks).T
     bad = np.flatnonzero(u >= v)
     if bad.size:
         raise ValueError(f"edge lines must satisfy u < v, got {body[bad[0]]!r}")
@@ -115,10 +156,11 @@ def load_graph(text: str) -> Graph:
         i = bad[0]
         raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for n={n}")
     adj = np.zeros((n, n), dtype=bool)
-    adj[u, v] = True
-    if np.count_nonzero(adj) != m:
+    adj[u, v] = adj[v, u] = True
+    if np.count_nonzero(adj) != 2 * m:
         raise ValueError("duplicate edge lines")
-    return Graph.from_bool_matrix(adj | adj.T)
+    # symmetric with a zero diagonal by construction: from_bool_matrix's checks cannot fail
+    return Graph._from_rows(n, tuple(bit_rows(adj)))
 
 
 # -- exact weights --------------------------------------------------------------
