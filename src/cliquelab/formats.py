@@ -6,12 +6,14 @@ and are ignored on load, except that `# key: value` lines are surfaced
 through parse_meta (used for planted-clique sidecars and family source
 sizes).  Steiner-forest and reachability instances travel as JSON.
 
+Every integer a text format holds (header counts, items, the `source-n`
+meta value) is ASCII decimal: an optional sign, then the digits 0-9.
+
 A graph is `g <n> <m>` followed by m edge lines.  An edge line holds two
-ASCII decimal integers u < v (an optional sign, then the digits 0-9)
-separated by spaces or tabs; `#` may only start a full line, so `0 1 # x`
-is refused.  Blank lines are skipped.  dump_graph writes the edges in
-sorted order, one `u v` line each, after the header and any `# key: value`
-lines.
+integers u < v separated by spaces or tabs; `#` may only start a full line,
+so `0 1 # x` is refused.  Blank lines are skipped.  dump_graph writes the
+edges in sorted order, one `u v` line each, after the header and any
+`# key: value` lines.
 """
 
 from __future__ import annotations
@@ -207,10 +209,10 @@ def load_hypergraph(text: str) -> Hypergraph:
     header, body = _data_lines(text, "h")
     if len(header) != 3:
         raise ValueError(f"hypergraph header must be 'h <n> <m>', got {header}")
-    n, m = int(header[1]), int(header[2])
+    n, m = _decimal(header[1]), _decimal(header[2])
     if len(body) != m:
         raise ValueError(f"header promises {m} hyperedges, found {len(body)} lines")
-    h = Hypergraph(n, (tuple(int(x) for x in ln.split()) for ln in body))
+    h = Hypergraph(n, (tuple(map(_decimal, ln.split())) for ln in body))
     if h.m != m:
         raise ValueError("duplicate hyperedge lines")
     return h
@@ -235,14 +237,14 @@ def load_family(text: str, source_n: int | None = None) -> SubsetFamily:
     header, body = _data_lines(text, "f")
     if len(header) != 3:
         raise ValueError(f"family header must be 'f <N> <ell>', got {header}")
-    N, ell = int(header[1]), int(header[2])
+    N, ell = _decimal(header[1]), _decimal(header[2])
     if len(body) != N:
         raise ValueError(f"header promises {N} sets, found {len(body)} lines")
-    sets = tuple(tuple(int(x) for x in ln.split()) for ln in body)
+    sets = tuple(tuple(map(_decimal, ln.split())) for ln in body)
     if source_n is None:
         meta = parse_meta(text)
         if "source-n" in meta:
-            source_n = int(meta["source-n"])
+            source_n = _decimal(meta["source-n"])
         else:
             source_n = max((s[-1] for s in sets if s), default=0) + 1
     return SubsetFamily(source_n=source_n, ell=ell, sets=sets)

@@ -113,17 +113,9 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted edge list with u < v."""
-        out = []
-        for u in range(self.n):
-            r = self._rows[u] >> (u + 1)
-            v = u + 1
-            while r:
-                shift = (r & -r).bit_length() - 1
-                v += shift
-                out.append((u, v))
-                r >>= shift + 1
-                v += 1
-        return out
+        return [
+            (u, v) for u, row in enumerate(self._rows) for v in _bits(row >> (u + 1) << (u + 1))
+        ]
 
     def to_bool_matrix(self) -> np.ndarray:
         if self._np_cache is None:

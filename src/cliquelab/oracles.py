@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -458,13 +458,54 @@ def satisfied_demands(
     return sum(1 for s, t in demands if uf.find(s) == uf.find(t))
 
 
+def _cheapest_cover(
+    weights: Sequence[Fraction],
+    covers: Callable[[list[int]], bool],
+    lower_bound: Callable[[list[int], int], Fraction | None],
+) -> tuple[tuple[int, ...], Fraction] | None:
+    """Cheapest set of item indices whose items cover; None if no set covers.
+
+    Ties: minimum cost, then fewest items, then lex-least index tuple.  Item i
+    costs weights[i] >= 0, and covers(items) must hold for every superset of a
+    covering set.  lower_bound(chosen, idx) bounds the cost still owed by any
+    cover made of chosen plus items from idx on, or is None when none exists.
+    Ascending include-first branch-and-bound that accepts strict improvements
+    only, and stops a branch at its first cover.
+    """
+    m = len(weights)
+    best: tuple[tuple[int, ...], Fraction] | None = None
+
+    def dfs(idx: int, chosen: list[int], cost: Fraction) -> None:
+        nonlocal best
+        check_budget()
+        lb = lower_bound(chosen, idx)
+        if lb is None:
+            return
+        floor = cost + lb if lb else cost  # a zero bound skips a Fraction sum
+        if best is not None and (
+            floor > best[1]
+            or (floor == best[1] and len(chosen) >= len(best[0]) and cost == best[1])
+        ):
+            return
+        if covers(chosen):
+            best = (tuple(chosen), cost)
+            return  # supersets cost no less and are strictly larger
+        if idx == m or not covers(chosen + list(range(idx, m))):
+            return
+        chosen.append(idx)
+        dfs(idx + 1, chosen, cost + weights[idx])
+        chosen.pop()
+        dfs(idx + 1, chosen, cost)
+
+    dfs(0, [], Fraction(0))
+    return best
+
+
 def steiner_k_forest(
     inst: SteinerForestInstance,
 ) -> tuple[tuple[tuple[int, int], ...], Fraction]:
-    """Cheapest edge set connecting at least k demand pairs.
-
-    Ties: minimum cost, then fewest edges, then lex-least edge tuple.
-    """
+    """Cheapest edge set connecting at least k demand pairs, with
+    _cheapest_cover's tie rule over the sorted edges."""
     if inst.k == 0:
         return (), Fraction(0)
     edges = inst.graph.edges()
@@ -473,35 +514,14 @@ def steiner_k_forest(
         raise InfeasibleError(
             f"even the full graph connects fewer than {inst.k} demand pairs"
         )
-    m = len(edges)
-    best_cost: Fraction | None = None
-    best_size = 0
-    best_set: tuple[tuple[int, int], ...] = ()
 
-    def dfs(idx: int, chosen: list[int], cost: Fraction) -> None:
-        nonlocal best_cost, best_size, best_set
-        check_budget()
-        if best_cost is not None and (
-            cost > best_cost or (cost == best_cost and len(chosen) >= best_size)
-        ):
-            return
-        if satisfied_demands(n, (edges[i] for i in chosen), inst.demands) >= inst.k:
-            best_cost, best_size = cost, len(chosen)
-            best_set = tuple(edges[i] for i in chosen)
-            return  # supersets cost no less and are strictly larger
-        if idx == m:
-            return
-        avail = chosen + list(range(idx, m))
-        if satisfied_demands(n, (edges[i] for i in avail), inst.demands) < inst.k:
-            return
-        chosen.append(idx)
-        dfs(idx + 1, chosen, cost + inst.weights[idx])
-        chosen.pop()
-        dfs(idx + 1, chosen, cost)
+    def covers(items: list[int]) -> bool:
+        return satisfied_demands(n, (edges[i] for i in items), inst.demands) >= inst.k
 
     with budget(None, "edge subset search"):
-        dfs(0, [], Fraction(0))
-    assert best_cost is not None
+        found = _cheapest_cover(inst.weights, covers, lambda chosen, idx: 0)
+    assert found is not None
+    best_set, best_cost = tuple(edges[i] for i in found[0]), found[1]
     assert satisfied_demands(n, best_set, inst.demands) >= inst.k
     assert sum((inst.weight_of(e) for e in best_set), Fraction(0)) == best_cost
     return best_set, best_cost
@@ -526,55 +546,35 @@ class DsnInstance:
         object.__setattr__(self, "demands", tuple(norm))
 
 
-def _reachable(n: int, out: Sequence[Sequence[int]], src: int) -> set[int]:
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        u = frontier.pop()
-        for v in out[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
-
-
-def _arcs_satisfy(n: int, arcs: Iterable[tuple[int, int]], demands) -> bool:
+def _out_lists(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(n)]
     for u, v in arcs:
         out[u].append(v)
-    cache: dict[int, set[int]] = {}
+    return out
+
+
+def _bfs_parents(out: Sequence[Sequence[int]], src: int) -> dict[int, int]:
+    """Parent of each vertex reachable from src (src's is -1), set when a
+    breadth-first search over the out-lists, in their order, first finds it."""
+    parent = {src: -1}
+    queue = [src]
+    for u in queue:  # the loop reaches what it appends
+        for v in out[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def _arcs_satisfy(n: int, arcs: Iterable[tuple[int, int]], demands) -> bool:
+    out = _out_lists(n, arcs)
+    reached: dict[int, dict[int, int]] = {}
     for s, t in demands:
-        if s not in cache:
-            cache[s] = _reachable(n, out, s)
-        if t not in cache[s]:
+        if s not in reached:
+            reached[s] = _bfs_parents(out, s)
+        if t not in reached[s]:
             return False
     return True
-
-
-def _witness_paths(
-    n: int, arcs: set[tuple[int, int]], demands
-) -> set[tuple[int, int]]:
-    """Arcs on one deterministic (BFS, ascending neighbor) path per demand."""
-    out: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(arcs):
-        out[u].append(v)
-    used: set[tuple[int, int]] = set()
-    for s, t in demands:
-        parent: dict[int, int] = {s: -1}
-        queue = [s]
-        qi = 0
-        while qi < len(queue) and t not in parent:
-            u = queue[qi]
-            qi += 1
-            for v in out[u]:
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        cur = t
-        while parent[cur] != -1:
-            used.add((parent[cur], cur))
-            cur = parent[cur]
-    return used
 
 
 def directed_steiner_network(
@@ -583,14 +583,16 @@ def directed_steiner_network(
     """Cheapest arc set making every t_i reachable from its s_i.
 
     Zero-weight arcs are free and thus always available to the search; the
-    branch-and-bound runs over positive-weight arcs only.  The returned arc
-    set is the chosen positive arcs plus one witness path per demand.
-    Ties: minimum cost, then fewest positive arcs, then lex-least arc tuple.
+    branch-and-bound runs over positive-weight arcs only, with
+    _cheapest_cover's tie rule over them in sorted order.  The returned arc
+    set is the chosen positive arcs plus one witness path per demand: the
+    breadth-first path over the usable arcs, ascending neighbours first.
     """
     d = inst.digraph
     n = d.n
     zero = [(u, v) for u, v, w in d.arcs() if w == 0]
     pos = [(u, v, w) for u, v, w in d.arcs() if w > 0]
+    paid = [(u, v) for u, v, _ in pos]
     if not _arcs_satisfy(n, [(u, v) for u, v, _ in d.arcs()], inst.demands):
         raise InfeasibleError("some demand is unreachable even in the full digraph")
 
@@ -603,7 +605,7 @@ def directed_steiner_network(
     zero_out = {u for u, _ in zero}
     zero_in = {v for _, v in zero}
 
-    def lower_bound(chosen: list[int], idx: int) -> Fraction:
+    def lower_bound(chosen: list[int], idx: int) -> Fraction | None:
         have_out = zero_out | {pos[i][0] for i in chosen}
         have_in = zero_in | {pos[i][1] for i in chosen}
         need_out = Fraction(0)
@@ -612,7 +614,7 @@ def directed_steiner_network(
                 continue
             opts = [pos[i][2] for i in range(idx, len(pos)) if pos[i][0] == s]
             if not opts:
-                return Fraction(-1)  # dead branch
+                return None  # dead branch
             need_out += min(opts)
         need_in = Fraction(0)
         for t in sinks:
@@ -620,51 +622,27 @@ def directed_steiner_network(
                 continue
             opts = [pos[i][2] for i in range(idx, len(pos)) if pos[i][1] == t]
             if not opts:
-                return Fraction(-1)
+                return None
             need_in += min(opts)
         return max(need_out, need_in) if direct else need_out + need_in
 
-    best_cost: Fraction | None = None
-    best_size = 0
-    best_chosen: tuple[int, ...] = ()
-
-    def dfs(idx: int, chosen: list[int], cost: Fraction) -> None:
-        nonlocal best_cost, best_size, best_chosen
-        check_budget()
-        lb = lower_bound(chosen, idx)
-        if lb < 0:
-            return
-        if best_cost is not None and (
-            cost + lb > best_cost
-            or (cost + lb == best_cost and cost == best_cost and len(chosen) >= best_size)
-        ):
-            return
-        arcs_now = zero + [(pos[i][0], pos[i][1]) for i in chosen]
-        if _arcs_satisfy(n, arcs_now, inst.demands):
-            if (
-                best_cost is None
-                or cost < best_cost
-                or (cost == best_cost and len(chosen) < best_size)
-            ):
-                best_cost, best_size = cost, len(chosen)
-                best_chosen = tuple(chosen)
-            return
-        if idx == len(pos):
-            return
-        rest = arcs_now + [(pos[i][0], pos[i][1]) for i in range(idx, len(pos))]
-        if not _arcs_satisfy(n, rest, inst.demands):
-            return
-        chosen.append(idx)
-        dfs(idx + 1, chosen, cost + pos[idx][2])
-        chosen.pop()
-        dfs(idx + 1, chosen, cost)
-
     with budget(None, "arc subset search"):
-        dfs(0, [], Fraction(0))
-    assert best_cost is not None
-    chosen_arcs = {(pos[i][0], pos[i][1]) for i in best_chosen}
-    usable = set(zero) | chosen_arcs
-    witness = _witness_paths(n, usable, inst.demands)
+        found = _cheapest_cover(
+            [w for _, _, w in pos],
+            lambda items: _arcs_satisfy(n, zero + [paid[i] for i in items], inst.demands),
+            lower_bound,
+        )
+    assert found is not None
+    best_chosen, best_cost = found
+    chosen_arcs = {paid[i] for i in best_chosen}
+    out = _out_lists(n, sorted(set(zero) | chosen_arcs))
+    witness: set[tuple[int, int]] = set()
+    for s, t in inst.demands:
+        parent = _bfs_parents(out, s)
+        cur = t
+        while parent[cur] != -1:
+            witness.add((parent[cur], cur))
+            cur = parent[cur]
     solution = tuple(sorted(chosen_arcs | witness))
     assert _arcs_satisfy(n, solution, inst.demands)
     recost = sum((d.weight(u, v) for u, v in solution), Fraction(0))
@@ -724,16 +702,14 @@ def densest_k_subhypergraph(
 # -- pattern detection -----------------------------------------------------------
 
 
-def detect_pattern(
-    g: Graph, h: Graph, induced: bool, budget_ms: int | None = None
-) -> tuple[int, ...] | None:
+def detect_pattern(g: Graph, h: Graph, induced: bool) -> tuple[int, ...] | None:
     """Injective map from h's vertices into g witnessing a copy of h.
 
     Non-induced: h-edges must map to g-edges.  Induced: h-non-edges must map
     to g-non-edges as well.  Returns the mapping as a tuple indexed by h's
-    vertices, or None when no copy exists.  A budget overrun, whether
-    budget_ms or an enclosing budget scope set it, raises PatternSearchTimeout
-    instead of returning None: absence was not established.
+    vertices, or None when no copy exists.  An overrun of the deadline of an
+    enclosing budget scope raises PatternSearchTimeout instead of returning
+    None: absence was not established.
     """
     if h.n > g.n:
         return None
@@ -773,7 +749,7 @@ def detect_pattern(
         return False
 
     try:
-        with budget(budget_ms, "pattern search"):
+        with budget(None, "pattern search"):
             found = dfs(0)
     except BudgetExceeded as exc:
         raise PatternSearchTimeout(f"{exc}; absence was NOT established") from None

@@ -135,6 +135,20 @@ def extract_skes_from_forest(
 # -- SkES -> directed Steiner network ----------------------------------------------
 
 
+def _pin_rainbow(labels: list[int], rainbow: Sequence[int] | None, k: int) -> str:
+    """Pin vertex rainbow[i] to label i in place, once rainbow is checked to
+    name k distinct vertices; return the certificate's mode."""
+    if rainbow is None:
+        return "random"
+    if len(rainbow) != k or len(set(rainbow)) != k:
+        raise ValueError("rainbow needs exactly k distinct vertices")
+    for i, v in enumerate(rainbow):
+        if not 0 <= v < len(labels):
+            raise ValueError(f"rainbow vertex {v} out of range")
+        labels[v] = i
+    return "rainbow"
+
+
 def skes_to_dsn(
     g: Graph,
     k: int,
@@ -157,15 +171,7 @@ def skes_to_dsn(
     seed = as_seed(seed)
     rng = seed.stream("dsn-partition", index)
     part = [int(x) for x in rng.integers(0, k, size=n)]
-    mode = "random"
-    if rainbow is not None:
-        if len(rainbow) != k or len(set(rainbow)) != k:
-            raise ValueError("rainbow needs exactly k distinct vertices")
-        for i, v in enumerate(rainbow):
-            if not 0 <= v < n:
-                raise ValueError(f"rainbow vertex {v} out of range")
-            part[v] = i
-        mode = "rainbow"
+    mode = _pin_rainbow(part, rainbow, k)
     arcs: list[tuple[int, int, Fraction]] = []
     for v in range(n):
         arcs.append((v, n + v, Fraction(0)))
@@ -324,15 +330,7 @@ def dks_to_induced_pattern(
     seed = as_seed(seed)
     rng = seed.stream("pattern-coloring", index)
     colors = [int(x) for x in rng.integers(0, k, size=g.n)]
-    mode = "random"
-    if rainbow is not None:
-        if len(rainbow) != k or len(set(rainbow)) != k:
-            raise ValueError("rainbow needs exactly k distinct vertices")
-        for i, v in enumerate(rainbow):
-            if not 0 <= v < g.n:
-                raise ValueError(f"rainbow vertex {v} out of range")
-            colors[v] = i
-        mode = "rainbow"
+    mode = _pin_rainbow(colors, rainbow, k)
     kept = [
         (u, v)
         for u, v in g_eff.edges()

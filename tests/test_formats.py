@@ -233,6 +233,25 @@ def test_family_infers_source_n_without_meta():
     assert load_family(text).source_n == 4
 
 
+@pytest.mark.parametrize(
+    "load, text, token",
+    [
+        (load_family, "f 1 2\n0 1_0\n", "1_0"),
+        (load_family, "f 1 2\n0 \u0661\n", "\u0661"),
+        (load_family, "f 1_0 1\n" + "0\n" * 10, "1_0"),
+        (load_family, "f 1 1\n# source-n: 1_0\n0\n", "1_0"),
+        (load_hypergraph, "h 11 1\n0 1_0\n", "1_0"),
+        (load_hypergraph, "h 1_1 1\n0 1\n", "1_1"),
+    ],
+    ids=["family-item", "family-item-arabic-indic", "family-header", "family-source-n",
+         "hypergraph-item", "hypergraph-header"],
+)
+def test_family_and_hypergraph_refuse_non_decimal_tokens(load, text, token):
+    # int() reads "1_0" as 10 and "\u0661" (ARABIC-INDIC DIGIT ONE) as 1
+    with pytest.raises(ValueError, match=f"invalid literal '{token}'"):
+        load(text)
+
+
 def test_steiner_round_trip():
     inst = SteinerForestInstance(
         graph=Graph(4, [(0, 1), (1, 2), (2, 3)]),

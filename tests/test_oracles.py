@@ -34,6 +34,7 @@ from cliquelab.oracles import (
     smallest_k_edge_subgraph,
     steiner_k_forest,
 )
+from cliquelab.reductions import skes_to_dsn, skes_to_steiner_forest
 from cliquelab.rgp import rgp
 
 
@@ -501,6 +502,66 @@ def test_dsn_matches_brute_force_small():
         assert cost == best
 
 
+def _tie_rule_optimum(items, weights, covers):
+    """Brute force: the covering subset of items with the least (cost, size,
+    sorted item tuple), or None."""
+    best = None
+    for r in range(len(items) + 1):
+        for chosen in itertools.combinations(range(len(items)), r):
+            if covers([items[i] for i in chosen]):
+                key = (sum((weights[i] for i in chosen), Fraction(0)), r,
+                       tuple(items[i] for i in chosen))
+                best = key if best is None else min(best, key)
+    return best
+
+
+def test_steiner_and_dsn_solutions_follow_the_full_tie_rule():
+    # weights in {0, 1, 2} make cost and size ties common
+    rng = random.Random(53)
+    for _ in range(40):
+        g = random_graph(5, 0.6, rng)
+        weights = tuple(Fraction(rng.randrange(0, 3)) for _ in range(g.m))
+        pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        demands = tuple(rng.sample(pairs, 3))
+        k = rng.randrange(1, 4)
+        want = _tie_rule_optimum(
+            g.edges(), weights, lambda sel: satisfied_demands(5, sel, demands) >= k
+        )
+        inst = SteinerForestInstance(graph=g, weights=weights, demands=demands, k=k)
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                steiner_k_forest(inst)
+        else:
+            assert steiner_k_forest(inst) == (want[2], want[0])
+    for _ in range(40):
+        arcs = [
+            (u, v, Fraction(rng.randrange(0, 3)))
+            for u in range(5)
+            for v in range(5)
+            if u != v and rng.random() < 0.45
+        ]
+        d = WeightedDigraph(5, arcs)
+        demands = tuple((rng.randrange(5), rng.randrange(5)) for _ in range(2))
+        free = [(u, v) for u, v, w in arcs if w == 0]
+        paid = sorted((u, v) for u, v, w in arcs if w > 0)
+
+        def reaches(sel: list[tuple[int, int]]) -> bool:
+            h = nx.DiGraph(free + sel)
+            h.add_nodes_from(range(5))
+            return all(nx.has_path(h, s, t) for s, t in demands)
+
+        want = _tie_rule_optimum(paid, [d.weight(u, v) for u, v in paid], reaches)
+        inst = DsnInstance(digraph=d, demands=demands)
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                directed_steiner_network(inst)
+            continue
+        solution, cost = directed_steiner_network(inst)
+        assert cost == want[0]
+        # the paid arcs are the chosen ones; the free arcs are witness paths
+        assert tuple(a for a in solution if d.weight(*a) > 0) == want[2]
+
+
 # -- hypergraph / pattern --------------------------------------------------------------
 
 
@@ -563,8 +624,10 @@ def test_detect_pattern_budget():
         [(u, v) for u in range(50) for v in range(u + 1, 50) if rng.random() < 0.5],
     )
     h = Graph.empty(13)
-    with pytest.raises(PatternSearchTimeout):
-        detect_pattern(g, h, induced=True, budget_ms=50)
+    with budget(50, "pattern test"), pytest.raises(
+        PatternSearchTimeout, match="pattern test exceeded the 50 ms budget.*NOT established"
+    ):
+        detect_pattern(g, h, induced=True)
 
 
 def test_detect_pattern_times_out_under_enclosing_budget():
@@ -573,10 +636,14 @@ def test_detect_pattern_times_out_under_enclosing_budget():
     with budget(50, "outer"), pytest.raises(PatternSearchTimeout):
         detect_pattern(g, h, induced=True)
     # a nested budget scope can tighten the deadline in force, never extend it
-    with budget(50, "outer"), pytest.raises(PatternSearchTimeout):
-        detect_pattern(g, h, induced=True, budget_ms=60_000)
-    with budget(60_000, "outer"), pytest.raises(PatternSearchTimeout):
-        detect_pattern(g, h, induced=True, budget_ms=50)
+    with budget(50, "outer"), budget(60_000, "inner"), pytest.raises(
+        PatternSearchTimeout, match="outer exceeded the 50 ms budget"
+    ):
+        detect_pattern(g, h, induced=True)
+    with budget(60_000, "outer"), budget(50, "inner"), pytest.raises(
+        PatternSearchTimeout, match="inner exceeded the 50 ms budget"
+    ):
+        detect_pattern(g, h, induced=True)
 
 
 def test_enum_cap_respected(monkeypatch):
@@ -595,6 +662,24 @@ def test_skes_prunes_after_excluding_a_vertex(monkeypatch):
     monkeypatch.setenv("CLIQUELAB_CAP", "150")
     g = sample_er(16, 0.3, seed=4)
     assert smallest_k_edge_subgraph(g, 12) == (0, 1, 2, 5, 6, 9, 11)
+
+
+def test_steiner_search_expands_a_pinned_node_count(monkeypatch):
+    inst, _ = skes_to_steiner_forest(sample_er(7, Fraction(1, 2), 1), 4)
+    monkeypatch.setenv("CLIQUELAB_CAP", "89")
+    assert steiner_k_forest(inst) == (((0, 7), (1, 7), (2, 7), (3, 7)), 4)
+    monkeypatch.setenv("CLIQUELAB_CAP", "88")
+    with pytest.raises(CapExceeded, match="edge subset search passed the cap of 88"):
+        steiner_k_forest(inst)
+
+
+def test_dsn_search_expands_a_pinned_node_count(monkeypatch):
+    inst, _ = skes_to_dsn(Graph.complete(5), 2, seed=1, rainbow=[0, 1])
+    monkeypatch.setenv("CLIQUELAB_CAP", "379")
+    assert directed_steiner_network(inst)[1] == 4
+    monkeypatch.setenv("CLIQUELAB_CAP", "378")
+    with pytest.raises(CapExceeded, match="arc subset search passed the cap of 378"):
+        directed_steiner_network(inst)
 
 
 def test_den_leq_k_searches_only_for_denser_sets(monkeypatch):
