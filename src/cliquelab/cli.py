@@ -363,6 +363,17 @@ def _default_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _thread_count(text: str) -> int:
+    """--threads: a pool size of at least 1, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # lemma -> (its function in verify, the flags it requires, the flags it takes
 # with a default); each flag's name is the function's keyword for it
 _VERIFY: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
@@ -606,7 +617,7 @@ def build_parser() -> _Parser:
     ver.add_argument("--max-retries", type=int, default=60)
     ver.add_argument("--trials", type=int, required=True)
     ver.add_argument("--seed", type=int, required=True)
-    ver.add_argument("--threads", type=int, help="default: machine parallelism")
+    ver.add_argument("--threads", type=_thread_count, help="default: machine parallelism")
     ver.add_argument("--out-json")
     ver.add_argument("--out-csv")
     ver.set_defaults(func=_cmd_verify)

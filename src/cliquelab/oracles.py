@@ -50,41 +50,56 @@ def _color_classes(rows: Sequence[int], candidates: int) -> tuple[dict[int, int]
     return color_of, sizes
 
 
-def max_clique(g: Graph) -> tuple[int, ...]:
-    """Lexicographically least maximum clique."""
-    rows = [g.row(u) for u in range(g.n)]
-    best: list[int] = []
+def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool) -> list[int]:
+    """Lex-least largest clique among candidates with more than floor
+    vertices, or [] if there is none.
 
-    def dfs(clique: list[int], candidates: int) -> None:
-        nonlocal best
+    Ascending include-first search under the greedy colour bound that accepts
+    strict improvements only.  With first set it stops at the first clique of
+    floor + 1 vertices, which is the lex-least one: until then the bound prunes
+    only branches that cannot reach that size.
+    """
+    best: list[int] = []
+    bar = floor  # max(len(best), floor), kept up to date as best changes
+
+    def dfs(clique: list[int], candidates: int) -> bool:
+        nonlocal best, bar
         check_budget()
         color_of, sizes = _color_classes(rows, candidates)
         colors = len(sizes)
-        if len(clique) + colors <= len(best):
-            return
+        if len(clique) + colors <= bar:
+            return False
         for v in _bits(candidates):
             higher = ~((1 << (v + 1)) - 1)
             nxt = candidates & rows[v] & higher
             clique.append(v)
-            if len(clique) > len(best):
+            if len(clique) > bar:
                 best = clique.copy()
-            if nxt:
-                dfs(clique, nxt)
+                bar = len(best)
+                if first:
+                    return True
+            if nxt and dfs(clique, nxt):
+                return True
             clique.pop()
             # exclude v: its class shrinks, and the bound drops once it empties
             color = color_of[v]
             sizes[color] -= 1
             if not sizes[color]:
                 colors -= 1
-            if len(clique) + colors <= len(best):
-                return
+            if len(clique) + colors <= bar:
+                return False
+        return False
 
-    if g.n:
-        with budget(None, "clique search"):
-            dfs([], (1 << g.n) - 1)
-        if not best:
-            best = [0]  # single vertex is a clique in a non-empty graph
-    result = tuple(best)
+    dfs([], candidates)
+    return best
+
+
+def max_clique(g: Graph) -> tuple[int, ...]:
+    """Lexicographically least maximum clique."""
+    if not g.n:
+        return ()
+    with budget(None, "clique search"):
+        result = tuple(_clique_above([g.row(u) for u in range(g.n)], (1 << g.n) - 1, 0, False))
     assert g.is_clique(result)
     return result
 
@@ -213,71 +228,64 @@ def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
 
 
 def _den_leq4_closed_form(g: Graph, k: int) -> Fraction:
-    """Exact max of |E[S]|/|S| over |S| <= k for k <= 4, via case analysis.
+    """Exact max of |E[S]|/|S| over |S| <= k for k <= 4, via case analysis, on
+    a graph with no k-clique.
 
     Densities realizable on at most 4 vertices order as
     3/2 (K4) > 5/4 (K4 minus an edge) > 1 (triangle, or 4-cycle) >
     3/4 (3 edges on 4 vertices) > 2/3 (path on 3) > 1/2 (edge) > 0,
-    and each case reduces to a degree or common-neighbor test.  The common
-    neighbor counts come from one float32 matrix product on BLAS, exact below
-    2^24 vertices.  With no search loop, the budget is checked only around
-    that product.
+    and without the k-clique each case reduces to a degree or common-neighbor
+    test.  At k = 4 the common neighbor counts come from one float32 matrix
+    product on BLAS, exact below 2^24 vertices.  With no search loop, the
+    budget is checked only around that product.
     """
     if g.m == 0:
         return Fraction(0)
-    if k == 1:
-        return Fraction(0)
-    if k == 2:
-        return Fraction(1, 2)
+    max_deg = max(g.degree(u) for u in range(g.n))
+    if k == 3:
+        return Fraction(2, 3) if max_deg >= 2 else Fraction(1, 2)
     adj = g.to_bool_matrix()
-    deg = adj.sum(axis=1)
     check_budget()
     # Exact in float32: every entry and partial sum is an integer <= n <=
     # VERTEX_CAP < 2^24, whatever order BLAS sums in (numpy's int matmul has no BLAS).
     a = adj.astype(np.float32)
     common = a @ a
     check_budget()
-    has_triangle = bool((common[adj] >= 1).any())
-    if k == 3:
-        if has_triangle:
-            return Fraction(1)
-        if int(deg.max(initial=0)) >= 2:
-            return Fraction(2, 3)
-        return Fraction(1, 2)
-    # k >= 4 adds nothing beyond 4-vertex patterns: a denser 5..k-vertex
-    # subgraph would contain one of the 4-vertex cases of density >= its own.
-    rich = np.argwhere(np.triu(common >= 2, 1) & adj)
-    for u, v in rich:
-        both = np.nonzero(adj[u] & adj[v])[0]
-        sub = adj[np.ix_(both, both)]
-        if sub.any():
-            return Fraction(3, 2)  # K4: adjacent pair with an adjacent common pair
-    if len(rich):
-        return Fraction(5, 4)  # diamond
-    if has_triangle or bool(np.triu(common >= 2, 1).any()):
+    on_edges = common[adj]  # common neighbours of each adjacent pair
+    if (on_edges >= 2).any():
+        return Fraction(5, 4)  # diamond: with no K4 the two common neighbours are apart
+    if (on_edges >= 1).any() or np.triu(common >= 2, 1).any():
         return Fraction(1)  # triangle or 4-cycle
-    if int(deg.max(initial=0)) >= 3:
+    if max_deg >= 3:
         return Fraction(3, 4)  # star on 4 vertices
-    ends = np.argwhere(np.triu(adj, 1))
-    for u, v in ends:
+    deg = adj.sum(axis=1)
+    for u, v in np.argwhere(np.triu(adj, 1)):
         if deg[u] >= 2 and deg[v] >= 2:
             return Fraction(3, 4)  # path on 4 vertices (no triangle/C4 here)
-    if int(deg.max(initial=0)) >= 2:
+    if max_deg >= 2:
         return Fraction(2, 3)
     return Fraction(1, 2)
 
 
 def den_leq_k(g: Graph, k: int) -> Fraction:
-    """Exact max over non-empty S, |S| <= k, of |E[S]| / |S|."""
+    """Exact max over non-empty S, |S| <= k, of |E[S]| / |S|.
+
+    |E[S]|/|S| <= (|S| - 1)/2 <= (k - 1)/2, with equality only for a k-clique,
+    so a first k-clique from the clique search settles the value.
+    """
     if not 1 <= k:
         raise ValueError("k must be positive")
     k = min(k, g.n)
     if k == 0:
         raise ValueError("graph is empty")
     with budget(None, "density search"):
+        rows = [g.row(u) for u in range(g.n)]
+        clique = _clique_above(rows, (1 << g.n) - 1, k - 1, True)
+        if clique:
+            assert len(clique) == k and g.is_clique(clique)
+            return Fraction(k - 1, 2)
         if k <= 4:
             return _den_leq4_closed_form(g, k)
-        rows = [g.row(u) for u in range(g.n)]
         value = Fraction(0)
         for s in range(1, k + 1):
             # only a set with more than value * s edges beats value at size s

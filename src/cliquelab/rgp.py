@@ -247,8 +247,10 @@ def implied_edges(
     u != v must be a source edge whenever the product edge is genuine.
     """
     out: set[tuple[int, int]] = set()
+    draws = fam.draws
     for i, j in product_edges:
-        si, sj = fam.sets[i], fam.sets[j]
+        # a row may repeat a member; the repeats only re-add the same pairs
+        si, sj = draws[i].tolist(), draws[j].tolist()
         for u in si:
             for v in sj:
                 if u != v:

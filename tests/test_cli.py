@@ -282,6 +282,18 @@ def test_verify_threads_flag_does_not_change_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_verify_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "r.json"
+    argv = [
+        "verify", "averaging", "--n", "10", "--s-size", "8", "--k", "3",
+        "--trials", "2", "--seed", "2", "--threads", threads, "--out-json", str(out),
+    ]
+    assert main(argv) == 1
+    assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _DISPERSER_N300 = [
     "verify", "disperser", "--n", "100", "--ell", "2", "--N", "300",
     "--delta", "1/2", "--max-set-size", "4", "--trials", "1", "--seed", "1",

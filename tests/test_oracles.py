@@ -247,6 +247,25 @@ def test_den_leq_k_general_matches_brute():
         assert den_leq_k(g, 8) == _den_brute(g, 8)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_den_leq_k_is_brute_force_and_tops_out_at_a_k_clique(n, p, seed):
+    g = random_graph(n, p, random.Random(seed))
+    most = [0] * (n + 1)  # most edges on any s-subset
+    for size in range(1, n + 1):
+        for vs in itertools.combinations(range(n), size):
+            most[size] = max(most[size], g.induced(vs).m)
+    omega = clique_number(g)
+    for k in range(1, n + 1):
+        value = den_leq_k(g, k)
+        assert value == max(Fraction(most[s], s) for s in range(1, k + 1))
+        assert (value == Fraction(k - 1, 2)) == (omega >= k)
+
+
 # -- bicliques ---------------------------------------------------------------------
 
 
@@ -688,6 +707,44 @@ def test_den_leq_k_searches_only_for_denser_sets(monkeypatch):
     monkeypatch.setenv("CLIQUELAB_CAP", "2000")
     product, _ = rgp(sample_er(60, Fraction(1, 2), 711), 500, 2, 711)
     assert den_leq_k(product, 5) == 2
+
+
+def test_den_leq_k_sweeps_floors_without_a_k_clique(monkeypatch):
+    # omega = 5 < k = 6: the clique check finds nothing and the floor sweep
+    # finds a 6-set with 13 edges; 537 nodes over both searches
+    g = sample_er(30, Fraction(1, 4), 1)
+    assert clique_number(g) == 5
+    monkeypatch.setenv("CLIQUELAB_CAP", "537")
+    assert den_leq_k(g, 6) == Fraction(13, 6)
+    monkeypatch.setenv("CLIQUELAB_CAP", "536")
+    with pytest.raises(CapExceeded, match="density search passed the cap of 536"):
+        den_leq_k(g, 6)
+
+
+def test_den_leq_k_stops_at_a_first_k_clique(monkeypatch):
+    # a planted criterion-4-shape product: the clique search walks straight
+    # down to a 16-clique, one node per vertex
+    source = sample_planted(60, Fraction(1, 2), 20, 42, 0).graph
+    product, _ = rgp(source, 500, 2, 42, 0)
+    monkeypatch.setenv("CLIQUELAB_CAP", "16")
+    assert den_leq_k(product, 16) == Fraction(15, 2)
+    monkeypatch.setenv("CLIQUELAB_CAP", "15")
+    with pytest.raises(CapExceeded, match="density search passed the cap of 15"):
+        den_leq_k(product, 16)
+
+
+def test_max_clique_expands_a_pinned_node_count(monkeypatch):
+    # a clique-gap null product (seed 1111, index 0, N = 2000)
+    product, _ = rgp(sample_er(60, Fraction(1, 2), 1111, 0), 2000, 2, 1111, 0)
+    monkeypatch.setenv("CLIQUELAB_CAP", "1156")
+    assert max_clique(product) == (
+        8, 33, 51, 216, 272, 415, 431, 484, 554, 572, 596, 680, 721, 727, 759, 784, 850,
+        853, 931, 985, 1146, 1148, 1153, 1161, 1233, 1258, 1343, 1455, 1472, 1566, 1623,
+        1638, 1654, 1742, 1887, 1929, 1943, 1960,
+    )
+    monkeypatch.setenv("CLIQUELAB_CAP", "1155")
+    with pytest.raises(CapExceeded, match="clique search passed the cap of 1155"):
+        max_clique(product)
 
 
 def test_nested_searches_share_the_outer_count(monkeypatch):

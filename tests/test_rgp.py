@@ -194,6 +194,25 @@ def test_implied_edges_disjoint_sides_counts_ell_squared():
     assert implied_edges(fam, []) == frozenset()
 
 
+def test_implied_edges_from_draws_match_the_sets():
+    # draws from a source of 4 vertices repeat members often; reading the
+    # rows must force the same pairs as the deduplicated sets
+    rng = random.Random(12)
+    for seed in range(10):
+        fam = sample_family(4, 30, 3, seed)
+        edges = [tuple(sorted(rng.sample(range(30), 2))) for _ in range(20)]
+        got = implied_edges(fam, edges)
+        assert fam._sets is None  # no set tuples were built
+        want = frozenset(
+            (min(u, v), max(u, v))
+            for i, j in edges
+            for u in fam.sets[i]
+            for v in fam.sets[j]
+            if u != v
+        )
+        assert got == want
+
+
 # -- parameter formulas --------------------------------------------------------
 
 
