@@ -1,9 +1,13 @@
-"""Safety caps on graph size and exact arithmetic, and the one search budget.
+"""Every cap, and the one way each refuses a job (CapExceeded).
 
-A budget scope counts the nodes its searches expand against the enumeration
-cap (CLIQUELAB_CAP) and may hold a wall-clock deadline.  Every search polls
-check_budget() at each node it expands, so either overrun stops the search on
-the thread that runs it, and no search is refused on an up-front estimate.
+VERTEX_CAP bounds the vertices of a packed-adjacency structure, refused by
+check_vertices() before it is built or sampled.  SLOW_BIT_CAP bounds an exact
+big integer, refused by check_bits() before it is materialized.  The node cap
+(CLIQUELAB_CAP) bounds the one search budget: a budget scope counts the nodes
+its searches expand, and the set pairs the disperser's pair sweep unions, and
+may hold a wall-clock deadline (BudgetExceeded).  Every search polls
+check_budget() as it goes, so either overrun stops it on the thread that runs
+it, and no search is refused on an up-front estimate.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ VERTEX_CAP = 4096
 
 DEFAULT_ENUM_CAP = 10**8
 
-# Exact big-integer results larger than this many bits are refused.
-BIGINT_BIT_CAP = 2**33
+# Exact big integers larger than this many bits are refused: big-int pow and
+# iroot on results beyond ~10^7 bits take minutes to hours.
+SLOW_BIT_CAP = 10**7
 
 # (what runs, (monotonic deadline, budget in ms, what set it) or None, node cap,
 # [nodes expanded]) of the budget scope in force; nested scopes share the list,
@@ -30,6 +35,20 @@ BIGINT_BIT_CAP = 2**33
 # lock, which every poll would pay for; an update lost to a thread switch only
 # lets the cap trip a node later.
 _SCOPE: ContextVar[tuple | None] = ContextVar("cliquelab_budget", default=None)
+
+
+def check_vertices(n: int) -> None:
+    """Refuse a structure on n vertices above VERTEX_CAP; n must be >= 0."""
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if n > VERTEX_CAP:
+        raise CapExceeded(f"{n} vertices exceeds the vertex cap {VERTEX_CAP}")
+
+
+def check_bits(bits: int, what: str) -> None:
+    """Refuse an exact big integer of about `bits` bits above SLOW_BIT_CAP."""
+    if bits > SLOW_BIT_CAP:
+        raise CapExceeded(f"{what} needs ~{bits} bits (cap {SLOW_BIT_CAP})")
 
 
 def enum_cap() -> int:

@@ -12,31 +12,25 @@ import threading
 from contextlib import contextmanager
 from fractions import Fraction
 
-from mpmath import iv, mp, mpf
-from mpmath import log as mp_log
+from mpmath import iv
 
-from .caps import BIGINT_BIT_CAP
-from .errors import CapExceeded
+from .caps import check_bits
 
-# Exact powers that cannot be reduced to a binary shift are capped much lower:
-# big-int pow and iroot on results beyond ~10^7 bits take minutes to hours.
-SLOW_BIT_CAP = 10**7
-
-# mpmath's mp.prec and iv.prec are process-wide; every change to them holds this
-# lock, so a caller on another thread never computes at someone else's precision.
+# mpmath's iv.prec is process-wide; every change to it holds this lock, so a
+# caller on another thread never computes at someone else's precision.
 _PREC_LOCK = threading.RLock()
 
 
 @contextmanager
-def _working_prec(ctx, prec: int):
-    """Run the block with ctx.prec = prec, restoring it after, under _PREC_LOCK."""
+def _working_prec(prec: int):
+    """Run the block with iv.prec = prec, restoring it after, under _PREC_LOCK."""
     with _PREC_LOCK:
-        old = ctx.prec
-        ctx.prec = prec
+        old = iv.prec
+        iv.prec = prec
         try:
             yield
         finally:
-            ctx.prec = old
+            iv.prec = old
 
 
 def pow2_split(n: int) -> tuple[int, int]:
@@ -54,14 +48,15 @@ def exact_log2(n: int) -> int | None:
 
 
 def approx_log2_fraction(n: int, prec: int = 200) -> Fraction:
-    """log2(n) as the exact rational value of a prec-bit float approximation."""
+    """An upper bound on log2(n), exact for powers of two: the upper end of a
+    prec-bit interval enclosure."""
     if n < 1:
         raise ValueError("n must be positive")
     s = exact_log2(n)
     if s is not None:
         return Fraction(s)
-    with _working_prec(mp, prec):
-        return _mpf_to_fraction(mp_log(n, 2))
+    with _working_prec(prec):
+        return _iv_bounds(iv.log(iv.mpf(n)) / iv.log(iv.mpf(2)))[1]
 
 
 def iroot_floor(x: int, q: int) -> int:
@@ -97,32 +92,13 @@ def ceil_root(x: int, q: int) -> int:
 def ceil_pow_product(a: int, n: int, exponent: Fraction) -> int:
     """Exact ceil(a * n**exponent) for positive a, n and positive rational exponent.
 
-    Power-of-two n with integer exponent reduces to a shift and is allowed up
-    to BIGINT_BIT_CAP bits; every other path materializes n**p and is capped
-    at SLOW_BIT_CAP bits.
+    With exponent = p/q, it is the ceiling q-th root of a**q * n**p, which is
+    refused above SLOW_BIT_CAP bits.
     """
     if a <= 0 or n <= 1 or exponent <= 0:
         raise ValueError("need a >= 1, n >= 2, exponent > 0")
     p, q = exponent.numerator, exponent.denominator
-    est_bits = p * n.bit_length() + q * a.bit_length()
-    s = exact_log2(n)
-    if q == 1:
-        if s is not None:
-            if s * p + a.bit_length() > BIGINT_BIT_CAP:
-                raise CapExceeded(
-                    f"exact value needs ~{s * p} bits, above cap {BIGINT_BIT_CAP}"
-                )
-            return a << (s * p)
-        if est_bits > SLOW_BIT_CAP:
-            raise CapExceeded(
-                f"exact value needs ~{est_bits} bits and n is not a power of two "
-                f"(cap {SLOW_BIT_CAP})"
-            )
-        return a * n**p
-    if est_bits > SLOW_BIT_CAP:
-        raise CapExceeded(
-            f"exact q-th root path needs ~{est_bits} bits (cap {SLOW_BIT_CAP})"
-        )
+    check_bits(p * n.bit_length() + q * a.bit_length(), "exact power")
     return ceil_root(a**q * n**p, q)
 
 
@@ -136,10 +112,6 @@ def _raw_to_fraction(data: tuple) -> Fraction:
     return -v if sign else v
 
 
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    return _raw_to_fraction(x._mpf_)
-
-
 def _iv_bounds(x) -> tuple[Fraction, Fraction]:
     """Exact rational endpoints of an interval float."""
     lo, hi = x._mpi_
@@ -150,7 +122,7 @@ def exp_neg_upper(x: Fraction, prec: int = 120) -> Fraction:
     """A rational upper bound on exp(-x), tight to the working precision."""
     if x < 0:
         raise ValueError("x must be non-negative")
-    with _working_prec(iv, prec):
+    with _working_prec(prec):
         val = iv.exp(-iv.mpf(x.numerator) / x.denominator)
         return _iv_bounds(val)[1]
 
@@ -159,7 +131,7 @@ def compare_pow(a: int, ea: int, b: int, eb: int) -> int:
     """Sign of a**ea - b**eb for positive ints, avoiding huge materialization."""
     if a <= 0 or b <= 0 or ea < 0 or eb < 0:
         raise ValueError("need positive bases and non-negative exponents")
-    with _working_prec(iv, 400):
+    with _working_prec(400):
         la = iv.log(iv.mpf(a)) * ea
         lb = iv.log(iv.mpf(b)) * eb
         if la.b < lb.a:
@@ -167,11 +139,7 @@ def compare_pow(a: int, ea: int, b: int, eb: int) -> int:
         if lb.b < la.a:
             return 1
     # Interval enclosures overlap; fall back to exact comparison if affordable.
-    est = max(ea * a.bit_length(), eb * b.bit_length())
-    if est > SLOW_BIT_CAP:
-        raise CapExceeded(
-            f"power comparison too close to decide below {SLOW_BIT_CAP} bits"
-        )
+    check_bits(max(ea * a.bit_length(), eb * b.bit_length()), "close power comparison")
     va, vb = a**ea, b**eb
     return (va > vb) - (va < vb)
 
@@ -183,7 +151,7 @@ def ceil_frac_log2(coeff: Fraction, n: int) -> int:
     s = exact_log2(n)
     if s is not None:
         return math.ceil(coeff * s)
-    with _working_prec(iv, 400):
+    with _working_prec(400):
         val = (iv.log(iv.mpf(n)) / iv.log(iv.mpf(2))) * iv.mpf(
             coeff.numerator
         ) / coeff.denominator

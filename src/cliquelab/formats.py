@@ -27,8 +27,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .caps import check_budget
-from .graph import Graph, Hypergraph, WeightedDigraph, _check_n, bit_rows
+from .caps import check_budget, check_vertices
+from .graph import Graph, Hypergraph, WeightedDigraph, bit_rows
 from .oracles import DsnInstance, SteinerForestInstance
 from .rgp import SubsetFamily
 
@@ -142,7 +142,7 @@ def load_graph(text: str) -> Graph:
     if len(header) != 3:
         raise ValueError(f"graph header must be 'g <n> <m>', got {header}")
     n, m = _decimal(header[1]), _decimal(header[2])
-    _check_n(n)  # before the n x n matrix below is allocated
+    check_vertices(n)  # before the n x n matrix below is allocated
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)} lines")
     blocks = [np.zeros((0, 2), dtype=np.int64)]

@@ -12,15 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .caps import VERTEX_CAP
-from .errors import CapExceeded
-
-
-def _check_n(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
-    if n > VERTEX_CAP:
-        raise CapExceeded(f"{n} vertices exceeds the packed-adjacency cap {VERTEX_CAP}")
+from .caps import check_vertices
 
 
 class Graph:
@@ -29,7 +21,7 @@ class Graph:
     __slots__ = ("n", "_rows", "_m", "_np_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        _check_n(n)
+        check_vertices(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -58,7 +50,7 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        _check_n(n)
+        check_vertices(n)
         full = (1 << n) - 1
         return cls._from_rows(n, tuple(full & ~(1 << u) for u in range(n)))
 
@@ -76,7 +68,7 @@ class Graph:
     def from_bool_matrix(cls, adj: np.ndarray) -> "Graph":
         """Build from a symmetric boolean adjacency matrix with a zero diagonal."""
         n = adj.shape[0]
-        _check_n(n)
+        check_vertices(n)
         if adj.shape != (n, n):
             raise ValueError("adjacency matrix must be square")
         if adj.dtype != np.bool_:
@@ -243,7 +235,7 @@ class WeightedDigraph:
     __slots__ = ("n", "_weights")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, Weight]] = ()):
-        _check_n(n)
+        check_vertices(n)
         self.n = n
         weights: dict[tuple[int, int], Fraction] = {}
         for u, v, w in arcs:
@@ -286,7 +278,7 @@ class Hypergraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
-        _check_n(n)
+        check_vertices(n)
         self.n = n
         seen: set[tuple[int, ...]] = set()
         for e in edges:

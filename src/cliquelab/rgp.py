@@ -20,11 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .caps import VERTEX_CAP, budget, check_budget
+from .caps import budget, check_bits, check_budget, check_vertices
 from .ensembles import Seed, as_fraction, as_seed, uniform_subset
-from .errors import CapExceeded
 from .exactmath import (
-    SLOW_BIT_CAP,
     approx_log2_fraction,
     ceil_frac_log2,
     ceil_pow_product,
@@ -137,11 +135,6 @@ def product_edge(g: Graph, fam: SubsetFamily, i: int, j: int) -> bool:
     return g.is_clique(union)
 
 
-def _refuse_above_cap(N: int) -> None:
-    if N > VERTEX_CAP:
-        raise CapExceeded(f"product on {N} vertices exceeds the vertex cap {VERTEX_CAP}")
-
-
 def product_graph(g: Graph, fam: SubsetFamily) -> Graph:
     """Materialize the product graph for the given family.
 
@@ -157,7 +150,7 @@ def product_graph(g: Graph, fam: SubsetFamily) -> Graph:
     if fam.source_n != g.n:
         raise ValueError("family was drawn from a different vertex count")
     N = fam.N
-    _refuse_above_cap(N)
+    check_vertices(N)
     closed = g.to_bool_matrix() | np.eye(g.n, dtype=bool)
     draws = fam.draws
     allowed = closed[draws[:, 0]]
@@ -179,7 +172,7 @@ def product_graph(g: Graph, fam: SubsetFamily) -> Graph:
 def rgp(
     g: Graph, N: int, ell: int, seed: int | Seed, index: int = 0
 ) -> tuple[Graph, SubsetFamily]:
-    _refuse_above_cap(N)
+    check_vertices(N)
     fam = sample_family(g.n, N, ell, seed, index)
     return product_graph(g, fam), fam
 
@@ -265,8 +258,8 @@ def implied_edges(
 class RgpParams:
     """Exact product parameters for a target instance size.
 
-    N_exact is lazy: at realistic settings it is a multi-gigabit integer that
-    exists to be compared against, not stored.
+    N_exact is lazy and capped: at the formulas' own scale it would be a
+    multi-gigabit integer, so it raises CapExceeded above SLOW_BIT_CAP bits.
     """
 
     n: int
@@ -373,9 +366,7 @@ def check_side_conditions_exact(
     delta = as_fraction(delta)
     e = (1 - delta) * ell
     p, q = e.numerator, e.denominator
-    bits = p * n.bit_length() + q * max(N, 1000 * k).bit_length()
-    if bits > SLOW_BIT_CAP:
-        raise CapExceeded(f"literal check needs ~{bits} bits (cap {SLOW_BIT_CAP})")
+    check_bits(p * n.bit_length() + q * max(N, 1000 * k).bit_length(), "literal check")
     npow = n**p
     exp2 = Fraction(99, 100) * delta
     return {
@@ -418,8 +409,10 @@ def check_disperser(
     partial union already as large as the largest applicable threshold cannot
     shrink, so no extension violates.  The worst-ratio diagnostic is exact for
     |M| in {1, 2} (always swept) and otherwise covers the nodes the search
-    actually expanded.  Exhaustive mode counts the nodes it expands in the
-    budget scope, so it raises CapExceeded once they pass the enumeration cap.
+    actually expanded.  The pair sweep counts one node per pair it unions and
+    exhaustive mode one per node it expands, in one budget scope, so either
+    raises CapExceeded once past the node cap and BudgetExceeded once past an
+    enclosing deadline.
     """
     delta = as_fraction(delta)
     if not 0 < delta < 1:
@@ -451,84 +444,88 @@ def check_disperser(
             if len(violations) < 100:
                 violations.append((members, union_size, threshold(t)))
 
-    # Exact sweep over singletons and pairs for the diagnostic.
-    for i in range(N):
-        note((i,), sizes[i])
-    if T >= 2 and N >= 2:
-        # the membership bits packed into bytes, read eight bytes at a time
-        packed = np.packbits(fam.membership(), axis=1)
-        words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-        best_pop = None
-        best_pair = None
-        # an integer union size lies below threshold(2) iff it lies below its ceiling
-        limit = math.ceil(threshold(2))
-        first_poor: list[tuple[int, int, int]] = []  # violating pairs, row by row
-        poor_count = 0
-        chunk = max(1, (1 << 22) // max(N, 1))
-        for lo in range(0, N, chunk):
-            hi = min(lo + chunk, N)
-            pops = np.zeros((hi - lo, N), dtype=np.uint32)
-            for wi in range(words.shape[1]):
-                pops += np.bitwise_count(words[lo:hi, wi, None] | words[None, :, wi])
-            iu = np.triu_indices(hi - lo, 1 + lo, N)
-            block = pops[iu] if iu[0].size else np.empty(0, dtype=np.uint32)
-            if block.size:
-                pos = int(block.argmin())
-                pop = int(block[pos])
-                if best_pop is None or pop < best_pop:
-                    best_pop = pop
-                    best_pair = (int(iu[0][pos]) + lo, int(iu[1][pos]))
-                bad = np.flatnonzero(block < limit)
-                poor_count += bad.size
-                bad = bad[: 101 - len(first_poor)]
-                rows, cols = iu[0][bad] + lo, iu[1][bad]
-                first_poor.extend(zip(rows.tolist(), cols.tolist(), block[bad].tolist()))
-        if best_pair is not None:
-            note(best_pair, best_pop)
-        # Violating pairs (if any) must all be counted, not just the minimum.
-        # note() records at most 100 violations, so the first 101 violating
-        # pairs hold every one it can record; the rest are only counted.
-        others = [(i, j, pop) for i, j, pop in first_poor if (i, j) != best_pair]
-        for i, j, pop in others:
-            note((i, j), pop)
-        if poor_count:
-            violation_count += poor_count - 1 - len(others)
+    # One budget scope counts the pairs swept and the nodes searched.
+    with budget(None, "disperser sweep"):
+        # Exact sweep over singletons and pairs for the diagnostic.
+        for i in range(N):
+            note((i,), sizes[i])
+        if T >= 2 and N >= 2:
+            # the membership bits packed into bytes, read eight bytes at a time
+            packed = np.packbits(fam.membership(), axis=1)
+            words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+            best_pop = None
+            best_pair = None
+            # an integer union size lies below threshold(2) iff it lies below its ceiling
+            limit = math.ceil(threshold(2))
+            first_poor: list[tuple[int, int, int]] = []  # violating pairs, row by row
+            poor_count = 0
+            chunk = max(1, (1 << 22) // max(N, 1))
+            for lo in range(0, N, chunk):
+                hi = min(lo + chunk, N)
+                iu = np.triu_indices(hi - lo, 1 + lo, N)
+                check_budget(iu[0].size)  # one node per pair of the chunk
+                pops = np.zeros((hi - lo, N), dtype=np.uint32)
+                for wi in range(words.shape[1]):
+                    pops += np.bitwise_count(words[lo:hi, wi, None] | words[None, :, wi])
+                block = pops[iu]
+                if block.size:
+                    pos = int(block.argmin())
+                    pop = int(block[pos])
+                    if best_pop is None or pop < best_pop:
+                        best_pop = pop
+                        best_pair = (int(iu[0][pos]) + lo, int(iu[1][pos]))
+                    bad = np.flatnonzero(block < limit)
+                    poor_count += bad.size
+                    bad = bad[: 101 - len(first_poor)]
+                    rows, cols = iu[0][bad] + lo, iu[1][bad]
+                    first_poor.extend(
+                        zip(rows.tolist(), cols.tolist(), block[bad].tolist())
+                    )
+            if best_pair is not None:
+                note(best_pair, best_pop)
+            # Violating pairs (if any) must all be counted, not just the minimum.
+            # note() records at most 100 violations, so the first 101 violating
+            # pairs hold every one it can record; the rest are only counted.
+            others = [(i, j, pop) for i, j, pop in first_poor if (i, j) != best_pair]
+            for i, j, pop in others:
+                note((i, j), pop)
+            if poor_count:
+                violation_count += poor_count - 1 - len(others)
 
-    if mode == "exhaustive":
-        thr_max = threshold(T)
+        if mode == "exhaustive":
+            thr_max = threshold(T)
 
-        def dfs(start: int, members: list[int], union: int, size: int) -> None:
-            nonlocal nodes
-            for idx in range(start, N):
-                u2 = union | masks[idx]
-                s2 = u2.bit_count()
-                t2 = len(members) + 1
-                nodes += 1
-                check_budget()
-                if t2 > 2:  # depths 1 and 2 already swept exactly
-                    note(tuple(members + [idx]), s2)
-                if t2 < T and s2 < thr_max:
-                    dfs(idx + 1, members + [idx], u2, s2)
+            def dfs(start: int, members: list[int], union: int, size: int) -> None:
+                nonlocal nodes
+                for idx in range(start, N):
+                    u2 = union | masks[idx]
+                    s2 = u2.bit_count()
+                    t2 = len(members) + 1
+                    nodes += 1
+                    check_budget()
+                    if t2 > 2:  # depths 1 and 2 already swept exactly
+                        note(tuple(members + [idx]), s2)
+                    if t2 < T and s2 < thr_max:
+                        dfs(idx + 1, members + [idx], u2, s2)
 
-        if T > 2:
-            with budget(None, "exhaustive disperser sweep"):
+            if T > 2:
                 dfs(0, [], 0, 0)
-        # Depth <= 2 violations were found in the exact sweep above.
-    elif mode == "sampled":
-        if seed is None:
-            raise ValueError("sampled mode needs a seed")
-        rng = as_seed(seed).stream("disperser-sample", index)
-        for _ in range(samples):
-            t = int(rng.integers(1, T + 1))
-            members = uniform_subset(N, t, rng)
-            union = 0
-            for i in members:
-                union |= masks[i]
-            nodes += 1
-            if t > 2:  # t <= 2 was swept exactly; it still counts as a sample
-                note(members, union.bit_count())
-    else:
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+            # Depth <= 2 violations were found in the exact sweep above.
+        elif mode == "sampled":
+            if seed is None:
+                raise ValueError("sampled mode needs a seed")
+            rng = as_seed(seed).stream("disperser-sample", index)
+            for _ in range(samples):
+                t = int(rng.integers(1, T + 1))
+                members = uniform_subset(N, t, rng)
+                union = 0
+                for i in members:
+                    union |= masks[i]
+                nodes += 1
+                if t > 2:  # t <= 2 was swept exactly; it still counts as a sample
+                    note(members, union.bit_count())
+        else:
+            raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
 
     violations.sort()
     return DisperserReport(

@@ -147,18 +147,14 @@ def _run_trials(
     trials: int, worker: Callable[[int], dict[str, Any]], threads: int
 ) -> tuple[dict[str, Any], ...]:
     if threads <= 1:
-        records = [worker(i) for i in range(trials)]
-    else:
-        # a pool thread starts with an empty context: hand each trial the
-        # caller's, so an enclosing budget scope binds its searches too
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(contextvars.copy_context().run, worker, i)
-                for i in range(trials)
-            ]
-            records = [f.result() for f in futures]
-    records.sort(key=lambda r: r["trial"])
-    return tuple(records)
+        return tuple(worker(i) for i in range(trials))
+    # a pool thread starts with an empty context: hand each trial the
+    # caller's, so an enclosing budget scope binds its searches too
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, worker, i) for i in range(trials)
+        ]
+        return tuple(f.result() for f in futures)
 
 
 def _base_config(lemma: str, seed: Seed, trials: int, **params) -> dict[str, Any]:

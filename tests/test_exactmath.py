@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp
 
+from cliquelab.errors import CapExceeded
 from cliquelab.exactmath import (
     approx_log2_fraction,
     binom_cdf,
@@ -55,6 +56,9 @@ def test_ceil_pow_product_integer_exponent():
     assert ceil_pow_product(5, 2, Fraction(10)) == 5120
     with pytest.raises(ValueError):
         ceil_pow_product(1, 2, Fraction(0))
+    # a power of two gets no larger bit cap than any other base
+    with pytest.raises(CapExceeded):
+        ceil_pow_product(1, 2, Fraction(10**7 + 1))
 
 
 _small_fraction = st.builds(
@@ -119,6 +123,14 @@ def test_approx_log2_fraction_brackets_true_value():
     for n in (2, 3, 10, 1_048_576, 10**9 + 7):
         approx = approx_log2_fraction(n)
         assert abs(float(approx) - math.log2(n)) < 1e-12
+
+
+def test_approx_log2_fraction_is_an_upper_bound():
+    # log2(n) is irrational here; within 2**-990 of a 1000-bit float
+    for n in (3, 1000, 10**9 + 7):
+        with mp.workprec(1000):
+            man, exp = mp.log(n, 2).man_exp
+        assert approx_log2_fraction(n) >= man * Fraction(2) ** exp + Fraction(1, 2**990)
 
 
 def test_exp_neg_upper_is_an_upper_bound():

@@ -702,11 +702,16 @@ def test_dsn_search_expands_a_pinned_node_count(monkeypatch):
 
 
 def test_den_leq_k_searches_only_for_denser_sets(monkeypatch):
-    # each size s looks only for more than floor(value * s) edges: 1570 nodes
-    # here, 2826 when every size searched for its own maximum
-    monkeypatch.setenv("CLIQUELAB_CAP", "2000")
-    product, _ = rgp(sample_er(60, Fraction(1, 2), 711), 500, 2, 711)
-    assert den_leq_k(product, 5) == 2
+    # omega = 4 < k = 5, so the floor sweep runs: each size s looks only for
+    # more than floor(value * s) edges, 417 nodes over both searches here,
+    # 483 when every size searched for its own maximum
+    g = sample_er(30, Fraction(1, 4), 711)
+    assert clique_number(g) == 4
+    monkeypatch.setenv("CLIQUELAB_CAP", "417")
+    assert den_leq_k(g, 5) == Fraction(8, 5)
+    monkeypatch.setenv("CLIQUELAB_CAP", "416")
+    with pytest.raises(CapExceeded, match="density search passed the cap of 416"):
+        den_leq_k(g, 5)
 
 
 def test_den_leq_k_sweeps_floors_without_a_k_clique(monkeypatch):

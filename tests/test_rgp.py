@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _util import random_graph
-from cliquelab.caps import VERTEX_CAP
+from cliquelab.caps import VERTEX_CAP, budget
 from cliquelab.ensembles import as_seed
-from cliquelab.errors import CapExceeded
+from cliquelab.errors import BudgetExceeded, CapExceeded
 from cliquelab.formats import dump_family, load_family
 from cliquelab.graph import Graph
 from cliquelab.rgp import (
@@ -224,6 +224,9 @@ def test_paper_params_formula_scale():
     assert p.side_condition("ell_at_least_k")
     assert not p.side_condition("k_ell_at_most_n_pow_099delta")
     assert set(n for n, _ in p.side_conditions) == set(SIDE_CONDITION_NAMES)
+    # N has (1 - delta) * ell * log2(n) = 4e9 bits, above the bit cap
+    with pytest.raises(CapExceeded, match="exact power needs"):
+        p.N_exact
 
 
 def test_paper_params_ratio_mode_scales_ell():
@@ -387,6 +390,28 @@ def test_disperser_records_violating_pairs_in_every_chunk():
     )
     assert rep.violation_count == 5
     assert (rep.worst_ratio, rep.worst_set) == (Fraction(1, 200), (3,))
+
+
+def test_disperser_pair_sweep_counts_one_node_per_pair(monkeypatch):
+    # T = 2 runs no search: the N(N-1)/2 = 44850 pairs are the whole count
+    fam = sample_family(100, 300, 2, 15)
+    monkeypatch.setenv("CLIQUELAB_CAP", "44850")
+    assert check_disperser(fam, Fraction(1, 2), 2).ok
+    monkeypatch.setenv("CLIQUELAB_CAP", "44849")
+    with pytest.raises(CapExceeded, match="disperser sweep passed the cap of 44849"):
+        check_disperser(fam, Fraction(1, 2), 2)
+
+
+def test_disperser_pair_sweep_stops_on_the_budget(monkeypatch):
+    # about 72 million pairs: seconds of sweep, polled once per chunk of rows
+    fam = sample_family(100, 12000, 2, 15)
+    with pytest.raises(BudgetExceeded):
+        with budget(200, "disperser"):
+            check_disperser(fam, Fraction(1, 2), 2)
+    monkeypatch.setenv("CLIQUELAB_CAP", "1000")
+    with pytest.raises(CapExceeded):
+        with budget(200, "disperser"):
+            check_disperser(fam, Fraction(1, 2), 2)
 
 
 def test_disperser_validation():
