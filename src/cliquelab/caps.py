@@ -4,8 +4,8 @@ VERTEX_CAP bounds the vertices of a packed-adjacency structure, refused by
 check_vertices() before it is built or sampled.  SLOW_BIT_CAP bounds an exact
 big integer, refused by check_bits() before it is materialized.  The node cap
 (CLIQUELAB_CAP) bounds the one search budget: a budget scope counts the nodes
-its searches expand, and the set pairs the disperser's pair sweep unions, and
-may hold a wall-clock deadline (BudgetExceeded).  Every search polls
+its searches expand, the set pairs the disperser's pair sweep unions and the
+sets it samples, and may hold a wall-clock deadline (BudgetExceeded).  Every search polls
 check_budget() as it goes, so either overrun stops it on the thread that runs
 it, and no search is refused on an up-front estimate.
 """

@@ -1,36 +1,17 @@
 """Exact integer and rational arithmetic helpers.
 
-Everything here either returns an exact value or raises CapExceeded; nothing
-silently rounds.  Powers like n^(p/q) are handled through integer q-th roots,
-so ceilings are computed without floating point.
+Everything here returns an exact value or raises CapExceeded.  A bound on an
+irrational value is rounded up: the least prec-bit binary float at or above
+it.  Powers like n^(p/q) are handled through integer q-th roots, so ceilings
+are computed without floating point.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from fractions import Fraction
 
-from mpmath import iv
-
 from .caps import check_bits
-
-# mpmath's iv.prec is process-wide; every change to it holds this lock, so a
-# caller on another thread never computes at someone else's precision.
-_PREC_LOCK = threading.RLock()
-
-
-@contextmanager
-def _working_prec(prec: int):
-    """Run the block with iv.prec = prec, restoring it after, under _PREC_LOCK."""
-    with _PREC_LOCK:
-        old = iv.prec
-        iv.prec = prec
-        try:
-            yield
-        finally:
-            iv.prec = old
 
 
 def pow2_split(n: int) -> tuple[int, int]:
@@ -47,16 +28,15 @@ def exact_log2(n: int) -> int | None:
     return s if odd == 1 else None
 
 
-def approx_log2_fraction(n: int, prec: int = 200) -> Fraction:
-    """An upper bound on log2(n), exact for powers of two: the upper end of a
-    prec-bit interval enclosure."""
+def approx_log2_fraction(n: int) -> Fraction:
+    """An upper bound on log2(n), exact for powers of two: the least 200-bit
+    float at or above it."""
     if n < 1:
         raise ValueError("n must be positive")
     s = exact_log2(n)
     if s is not None:
         return Fraction(s)
-    with _working_prec(prec):
-        return _iv_bounds(iv.log(iv.mpf(n)) / iv.log(iv.mpf(2)))[1]
+    return _least_float_above(lambda bits: _log2_bounds(n, bits), 200)
 
 
 def iroot_floor(x: int, q: int) -> int:
@@ -102,43 +82,75 @@ def ceil_pow_product(a: int, n: int, exponent: Fraction) -> int:
     return ceil_root(a**q * n**p, q)
 
 
-def _raw_to_fraction(data: tuple) -> Fraction:
-    """Exact value of an mpf data tuple (sign, mantissa, exponent, bitcount)."""
-    sign, man, exp, _ = data
-    man = int(man)
-    if man == 0 and exp != 0:
-        raise ValueError("non-finite value")
-    v = Fraction(man) * (Fraction(2) ** int(exp))
-    return -v if sign else v
+def _log2_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= log2(n) <= hi for n >= 1, about 2**-bits apart: repeated squaring
+    of the fixed-point mantissa (Majithia and Levan, Proc. IEEE 1973), rounded
+    down throughout for lo and up for hi."""
+    e, f = n.bit_length() - 1, bits + 8
+    ends = []
+    for up in (0, 1):
+        shr = (lambda v, k: -(-v >> k)) if up else (lambda v, k: v >> k)
+        y, acc = shr(n << f, e), e  # y / 2**f in [1, 2]
+        for _ in range(bits):
+            y, acc = shr(y * y, f), 2 * acc
+            if y >> f + 1:
+                y, acc = shr(y, 1), acc + 1
+        ends.append(Fraction(acc + up, 1 << bits))
+    return ends[0], ends[1]
 
 
-def _iv_bounds(x) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an interval float."""
-    lo, hi = x._mpi_
-    return _raw_to_fraction(lo), _raw_to_fraction(hi)
+def _exp_neg_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= exp(-x) <= hi for x >= 0, at most 2**-bits apart: two consecutive
+    partial sums of the alternating series sum_j (-x)**j / j!, taken once its
+    terms decrease."""
+    p, q = x.numerator, x.denominator
+    num, den, t, j = 1, 1, 1, 0  # num/den sums the terms 0..j; t = (-p)**j
+    while True:
+        j, t = j + 1, -t * p
+        num2, den2 = num * q * j + t, den * q * j
+        if j >= x and abs(t) << bits <= den2:
+            return tuple(sorted((Fraction(num, den), Fraction(num2, den2))))
+        num, den = num2, den2
 
 
-def exp_neg_upper(x: Fraction, prec: int = 120) -> Fraction:
-    """A rational upper bound on exp(-x), tight to the working precision."""
+def _round_up(v: Fraction, prec: int) -> Fraction:
+    """The least prec-bit binary float >= v, for v > 0."""
+    s = prec - (v.numerator.bit_length() - v.denominator.bit_length())
+    m = math.ceil(v * Fraction(2) ** s)  # between 2**(prec-1) and 2**(prec+1)
+    if m.bit_length() > prec:
+        m, s = -(-m >> 1), s - 1
+    return m / Fraction(2) ** s
+
+
+def _least_float_above(bounds, prec: int) -> Fraction:
+    """The least prec-bit float >= v, from enclosures (lo, hi) = bounds(bits)
+    of v: bits doubles until both ends round up to the same float, which
+    ends when v is irrational."""
+    bits = prec
+    while True:
+        lo, hi = bounds(bits)
+        if lo > 0 and (up := _round_up(hi, prec)) == _round_up(lo, prec):
+            return up
+        bits *= 2
+
+
+def exp_neg_upper(x: Fraction) -> Fraction:
+    """An upper bound on exp(-x): the least 120-bit float at or above it."""
     if x < 0:
         raise ValueError("x must be non-negative")
-    with _working_prec(prec):
-        val = iv.exp(-iv.mpf(x.numerator) / x.denominator)
-        return _iv_bounds(val)[1]
+    return _least_float_above(lambda bits: _exp_neg_bounds(x, bits), 120)
 
 
 def compare_pow(a: int, ea: int, b: int, eb: int) -> int:
     """Sign of a**ea - b**eb for positive ints, avoiding huge materialization."""
     if a <= 0 or b <= 0 or ea < 0 or eb < 0:
         raise ValueError("need positive bases and non-negative exponents")
-    with _working_prec(400):
-        la = iv.log(iv.mpf(a)) * ea
-        lb = iv.log(iv.mpf(b)) * eb
-        if la.b < lb.a:
-            return -1
-        if lb.b < la.a:
-            return 1
-    # Interval enclosures overlap; fall back to exact comparison if affordable.
+    (alo, ahi), (blo, bhi) = _log2_bounds(a, 400), _log2_bounds(b, 400)
+    if ea * ahi < eb * blo:
+        return -1
+    if eb * bhi < ea * alo:
+        return 1
+    # The enclosures overlap; fall back to exact comparison if affordable.
     check_bits(max(ea * a.bit_length(), eb * b.bit_length()), "close power comparison")
     va, vb = a**ea, b**eb
     return (va > vb) - (va < vb)
@@ -151,13 +163,7 @@ def ceil_frac_log2(coeff: Fraction, n: int) -> int:
     s = exact_log2(n)
     if s is not None:
         return math.ceil(coeff * s)
-    with _working_prec(400):
-        val = (iv.log(iv.mpf(n)) / iv.log(iv.mpf(2))) * iv.mpf(
-            coeff.numerator
-        ) / coeff.denominator
-        blo, bhi = _iv_bounds(val)
-        lo = math.ceil(blo)
-        hi = math.ceil(bhi)
+    lo, hi = (math.ceil(coeff * v) for v in _log2_bounds(n, 400))
     if lo == hi:
         return lo
     # The enclosure straddles an integer m: decide val <= m exactly via

@@ -409,10 +409,10 @@ def check_disperser(
     partial union already as large as the largest applicable threshold cannot
     shrink, so no extension violates.  The worst-ratio diagnostic is exact for
     |M| in {1, 2} (always swept) and otherwise covers the nodes the search
-    actually expanded.  The pair sweep counts one node per pair it unions and
-    exhaustive mode one per node it expands, in one budget scope, so either
-    raises CapExceeded once past the node cap and BudgetExceeded once past an
-    enclosing deadline.
+    actually expanded.  The pair sweep counts one node per pair it unions,
+    exhaustive mode one per node it expands and sampled mode one per sample, in
+    one budget scope, so each raises CapExceeded once past the node cap and
+    BudgetExceeded once past an enclosing deadline.
     """
     delta = as_fraction(delta)
     if not 0 < delta < 1:
@@ -421,6 +421,10 @@ def check_disperser(
     T = max_set_size
     if not 1 <= T <= N:
         raise ValueError(f"max_set_size must lie in 1..{N}")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if mode == "sampled" and seed is None:
+        raise ValueError("sampled mode needs a seed")
 
     def threshold(t: int) -> Fraction:
         return Fraction(1, 100) * delta * t * ell
@@ -511,9 +515,7 @@ def check_disperser(
             if T > 2:
                 dfs(0, [], 0, 0)
             # Depth <= 2 violations were found in the exact sweep above.
-        elif mode == "sampled":
-            if seed is None:
-                raise ValueError("sampled mode needs a seed")
+        else:
             rng = as_seed(seed).stream("disperser-sample", index)
             for _ in range(samples):
                 t = int(rng.integers(1, T + 1))
@@ -522,10 +524,9 @@ def check_disperser(
                 for i in members:
                     union |= masks[i]
                 nodes += 1
+                check_budget()
                 if t > 2:  # t <= 2 was swept exactly; it still counts as a sample
                     note(members, union.bit_count())
-        else:
-            raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
 
     violations.sort()
     return DisperserReport(

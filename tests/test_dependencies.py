@@ -1,0 +1,47 @@
+"""The package's declared runtime dependencies are the ones its code imports."""
+
+from __future__ import annotations
+
+import ast
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cliquelab"
+
+
+def _third_party_imports() -> set[str]:
+    """Top-level modules imported under the package, less the stdlib and
+    the package's own relative imports."""
+    names = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_declared_dependencies_match_the_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]
+    }
+    assert _third_party_imports() == declared
+
+
+def test_importing_the_cli_loads_no_mpmath():
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import cliquelab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

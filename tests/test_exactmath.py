@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import iv, mp
+from mpmath import mp
 
 from cliquelab.errors import CapExceeded
 from cliquelab.exactmath import (
@@ -140,6 +140,41 @@ def test_exp_neg_upper_is_an_upper_bound():
         assert float(ub) - math.exp(-float(x)) < 1e-12
 
 
+def _least_float_at_or_above(x, bits: int) -> Fraction:
+    """The least bits-bit float >= a value that the 1100-bit mpf x gives to
+    within 2**-1000 relative; both ends of that range must agree."""
+    man, exp = x.man_exp
+    mid = man * Fraction(2) ** exp
+    ends = set()
+    for v in (mid - mid / 2**1000, mid + mid / 2**1000):
+        e = 0
+        while v * Fraction(2) ** e >= 2**bits:
+            e -= 1
+        while v * Fraction(2) ** e < 2 ** (bits - 1):
+            e += 1
+        ends.add(math.ceil(v * Fraction(2) ** e) / Fraction(2) ** e)
+    assert len(ends) == 1
+    return ends.pop()
+
+
+@pytest.mark.parametrize(
+    "x", [Fraction(1, 32), Fraction(1, 3), Fraction(7, 3), Fraction(50), Fraction(1000, 7)]
+)
+def test_exp_neg_upper_is_the_least_120_bit_float_above(x):
+    with mp.workprec(1100):
+        value = mp.exp(-mp.mpf(x.numerator) / x.denominator)
+    want = _least_float_at_or_above(value, 120)
+    assert exp_neg_upper(x) == want
+
+
+@pytest.mark.parametrize("n", [3, 1000, 10**9 + 7, 2**20 + 1, 12345678901234567])
+def test_approx_log2_fraction_is_the_least_200_bit_float_above(n):
+    with mp.workprec(1100):
+        value = mp.log(n, 2)
+    want = _least_float_at_or_above(value, 200)
+    assert approx_log2_fraction(n) == want
+
+
 def test_binom_cdf_exact_small_cases():
     # Bin(2, 1/2): P[X <= 0] = 1/4, P[X <= 1] = 3/4, P[X <= 2] = 1
     p = Fraction(1, 2)
@@ -212,41 +247,23 @@ def test_binom_cdf_rejects_float_p():
     assert binom_cdf(3, 1, 1) == 0
 
 
-def test_mpmath_precision_is_restored():
-    mp_prec, iv_prec = mp.prec, iv.prec
-    calls = (
-        lambda: approx_log2_fraction(10**9 + 7, prec=300),
-        lambda: exp_neg_upper(Fraction(7, 3), prec=200),
-        lambda: compare_pow(3, 40, 7, 23),
-        lambda: ceil_frac_log2(Fraction(5, 3), 10**6),
-    )
-    for call in calls:
-        call()
-        assert (mp.prec, iv.prec) == (mp_prec, iv_prec)
+def test_log2_and_exp_bounds_agree_across_threads():
+    # Two threads on different inputs get the values one thread gets alone.
+    def work(n: int, x: Fraction) -> list[Fraction]:
+        return [approx_log2_fraction(n), exp_neg_upper(x), lemma44_bound(64, 4, 2)]
 
+    cases = ((10**9 + 7, Fraction(1, 3)), (12345678901234567, Fraction(7, 3)))
+    want = {case: work(*case) for case in cases}
+    got: dict[tuple, list[list[Fraction]]] = {case: [] for case in cases}
 
-def test_mpmath_helpers_agree_across_threads():
-    # Two threads at different working precisions: without one lock around
-    # every precision change, either can compute at the other's precision.
-    def work(prec: int) -> list[Fraction]:
-        return [
-            approx_log2_fraction(10**9 + 7, prec=prec),
-            exp_neg_upper(Fraction(1, 3), prec=prec),
-            lemma44_bound(64, 4, 2),
-        ]
-
-    precs = (64, 256)
-    want = {prec: work(prec) for prec in precs}
-    got: dict[int, list[list[Fraction]]] = {prec: [] for prec in precs}
-
-    def loop(prec: int) -> None:
+    def loop(case: tuple) -> None:
         for _ in range(300):
-            got[prec].append(work(prec))
+            got[case].append(work(*case))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=loop, args=(prec,)) for prec in precs]
+        threads = [threading.Thread(target=loop, args=(case,)) for case in cases]
         for t in threads:
             t.start()
         for t in threads:
@@ -254,9 +271,9 @@ def test_mpmath_helpers_agree_across_threads():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    for prec in precs:
-        assert len(got[prec]) == 300
-        assert all(values == want[prec] for values in got[prec])
+    for case in cases:
+        assert len(got[case]) == 300
+        assert all(values == want[case] for values in got[case])
 
 
 def test_domain_errors():

@@ -424,6 +424,30 @@ def test_disperser_validation():
         check_disperser(fam, Fraction(1, 2), 99)
 
 
+def test_disperser_sampled_mode_counts_one_node_per_sample(monkeypatch):
+    fam = sample_family(100, 300, 2, 15)
+    run = lambda: check_disperser(  # noqa: E731
+        fam, Fraction(1, 2), 4, mode="sampled", samples=100000, seed=1
+    )
+    with pytest.raises(BudgetExceeded):
+        with budget(50, "disperser"):
+            run()
+    # above the 44850 swept pairs, below pairs plus samples
+    monkeypatch.setenv("CLIQUELAB_CAP", "50000")
+    with pytest.raises(CapExceeded):
+        run()
+
+
+def test_disperser_checks_mode_and_seed_before_the_pair_sweep():
+    # the deadline has passed, so the sweep's first poll would raise BudgetExceeded
+    fam = sample_family(100, 300, 2, 15)
+    with budget(0, "disperser"):
+        with pytest.raises(ValueError, match="mode"):
+            check_disperser(fam, Fraction(1, 2), 2, mode="sampeld", seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            check_disperser(fam, Fraction(1, 2), 2, mode="sampled")
+
+
 def test_product_refuses_above_vertex_cap():
     g = Graph.complete(3)
     with pytest.raises(CapExceeded):
