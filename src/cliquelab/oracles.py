@@ -20,34 +20,10 @@ import numpy as np
 
 from .caps import budget, check_budget
 from .errors import BudgetExceeded, InfeasibleError, PatternSearchTimeout
-from .graph import Graph, Hypergraph, WeightedDigraph, _bits
+from .graph import Graph, Hypergraph, WeightedDigraph
 
 
 # -- cliques -------------------------------------------------------------------
-
-
-def _color_classes(rows: Sequence[int], candidates: int) -> tuple[dict[int, int], list[int]]:
-    """Greedy proper coloring of the candidate subgraph, lowest vertex first:
-    (class of each vertex, size of each class).  A proper coloring stays
-    proper on any subset, so the non-empty classes among the candidates left
-    bound any clique inside them."""
-    color_of: dict[int, int] = {}
-    sizes: list[int] = []
-    remaining = candidates
-    while remaining:
-        color = len(sizes)
-        size = 0
-        avail = remaining
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            color_of[v] = color
-            size += 1
-            remaining ^= low
-            avail &= ~rows[v]
-            avail ^= low
-        sizes.append(size)
-    return color_of, sizes
 
 
 def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool) -> list[int]:
@@ -58,20 +34,42 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
     strict improvements only.  With first set it stops at the first clique of
     floor + 1 vertices, which is the lex-least one: until then the bound prunes
     only branches that cannot reach that size.
+
+    Each node colours its candidates greedily on bitmasks, lowest vertex
+    first, and keeps only the class count and a mask of each class's top
+    vertex; a clique meets a class at most once, so the classes left bound it.
+    A class is empty once its top vertex is excluded, which is exact because
+    candidates are excluded in ascending order.
     """
+    full = (1 << len(rows)) - 1
+    keep = [full ^ (row | 1 << v) for v, row in enumerate(rows)]  # non-neighbours
     best: list[int] = []
     bar = floor  # max(len(best), floor), kept up to date as best changes
 
     def dfs(clique: list[int], candidates: int) -> bool:
         nonlocal best, bar
         check_budget()
-        color_of, sizes = _color_classes(rows, candidates)
-        colors = len(sizes)
-        if len(clique) + colors <= bar:
+        depth = len(clique)
+        if depth + candidates.bit_count() <= bar:
+            return False  # the colour bound is at most the candidate count
+        colors = tops = 0
+        remaining = candidates
+        while remaining:
+            avail = remaining
+            while avail:
+                low = avail & -avail
+                remaining ^= low
+                avail &= keep[low.bit_length() - 1]
+            tops |= low  # the last vertex taken is the class's top
+            colors += 1
+        if depth + colors <= bar:
             return False
-        for v in _bits(candidates):
-            higher = ~((1 << (v + 1)) - 1)
-            nxt = candidates & rows[v] & higher
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            nxt = rest & rows[v]
             clique.append(v)
             if len(clique) > bar:
                 best = clique.copy()
@@ -81,16 +79,15 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
             if nxt and dfs(clique, nxt):
                 return True
             clique.pop()
-            # exclude v: its class shrinks, and the bound drops once it empties
-            color = color_of[v]
-            sizes[color] -= 1
-            if not sizes[color]:
+            # exclude v: the bound drops once its class empties
+            if tops & low:
                 colors -= 1
-            if len(clique) + colors <= bar:
+            if depth + colors <= bar:
                 return False
         return False
 
     dfs([], candidates)
+    del dfs  # it refers to itself: free keep now, not at a later gc pass
     return best
 
 
@@ -120,9 +117,12 @@ def _clique_dfs(rows: Sequence[int], n: int, r: int, collect: list | None) -> in
             if collect is not None:
                 collect.append(tuple(prefix))
             return
-        for v in _bits(candidates):
-            higher = ~((1 << (v + 1)) - 1)
-            nxt = candidates & rows[v] & higher
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            nxt = rest & rows[v]
             if nxt.bit_count() < r - depth - 1:
                 continue
             prefix.append(v)
@@ -332,7 +332,7 @@ def _biclique_sides(g: Graph, t: int) -> Iterator[tuple[tuple[int, ...], int]]:
 def _find_balanced_biclique(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Lex-least side A of size t with |common(A)| >= t, B = least t common."""
     for side, common in _biclique_sides(g, t):
-        return side, tuple(_bits(common)[:t])
+        return side, tuple([v for v in range(g.n) if common >> v & 1][:t])
     return None
 
 

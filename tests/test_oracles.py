@@ -4,12 +4,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _util import random_graph
+from cliquelab import oracles
 from cliquelab.caps import VERTEX_CAP, budget
 from cliquelab.ensembles import sample_er, sample_planted
 from cliquelab.errors import CapExceeded, InfeasibleError, PatternSearchTimeout
@@ -132,6 +134,95 @@ def _max_clique_reference(g: Graph) -> tuple[int, ...]:
     if g.n:
         dfs([], (1 << g.n) - 1)
     return tuple(best) or (0,)[: g.n]
+
+
+def _color_classes_reference(rows: list[int], candidates: int) -> tuple[dict[int, int], list[int]]:
+    """Greedy proper coloring of the candidate subgraph, lowest vertex first:
+    (class of each vertex, size of each class)."""
+    color_of: dict[int, int] = {}
+    sizes: list[int] = []
+    remaining = candidates
+    while remaining:
+        color = len(sizes)
+        size = 0
+        avail = remaining
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            color_of[v] = color
+            size += 1
+            remaining ^= low
+            avail &= ~rows[v]
+            avail ^= low
+        sizes.append(size)
+    return color_of, sizes
+
+
+def _clique_above_reference(
+    rows: list[int], candidates: int, floor: int, first: bool
+) -> tuple[list[int], int]:
+    """The former _clique_above, which kept each vertex's colour class and the
+    size of each class: (its clique, the nodes it expanded)."""
+    best: list[int] = []
+    bar = floor
+    nodes = 0
+
+    def dfs(clique: list[int], candidates: int) -> bool:
+        nonlocal best, bar, nodes
+        nodes += 1
+        color_of, sizes = _color_classes_reference(rows, candidates)
+        colors = len(sizes)
+        if len(clique) + colors <= bar:
+            return False
+        for v in _bits(candidates):
+            higher = ~((1 << (v + 1)) - 1)
+            nxt = candidates & rows[v] & higher
+            clique.append(v)
+            if len(clique) > bar:
+                best = clique.copy()
+                bar = len(best)
+                if first:
+                    return True
+            if nxt and dfs(clique, nxt):
+                return True
+            clique.pop()
+            color = color_of[v]
+            sizes[color] -= 1
+            if not sizes[color]:
+                colors -= 1
+            if len(clique) + colors <= bar:
+                return False
+        return False
+
+    dfs([], candidates)
+    return best, nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.booleans(),
+    st.sampled_from([0, 1, 3, 6, 10]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_clique_search_expands_the_nodes_of_the_colour_map_search(
+    n, p, first, floor, all_candidates, seed
+):
+    rng = random.Random(seed)
+    g = random_graph(n, p, rng)
+    rows = [g.row(u) for u in range(n)]
+    candidates = (1 << n) - 1 if all_candidates else rng.getrandbits(n)
+    nodes = 0
+
+    def count_node() -> None:
+        nonlocal nodes
+        nodes += 1
+
+    with mock.patch.object(oracles, "check_budget", count_node):
+        clique = oracles._clique_above(rows, candidates, floor, first)
+    assert (clique, nodes) == _clique_above_reference(rows, candidates, floor, first)
 
 
 @pytest.mark.parametrize("N", [500, 2000])
@@ -749,6 +840,21 @@ def test_max_clique_expands_a_pinned_node_count(monkeypatch):
     )
     monkeypatch.setenv("CLIQUELAB_CAP", "1155")
     with pytest.raises(CapExceeded, match="clique search passed the cap of 1155"):
+        max_clique(product)
+
+
+def test_max_clique_expands_a_pinned_node_count_on_a_planted_product(monkeypatch):
+    # the clique-gap planted arm (seed 1111, index 0, N = 2000): its maximum
+    # clique is the lift of the planted 20-clique, 234 vertices, and the
+    # exclusion bound at the root prunes the search after it
+    source = sample_planted(60, Fraction(1, 2), 20, 1111, 0)
+    product, fam = rgp(source.graph, 2000, 2, 1111, 0)
+    lifted = tuple(i for i, s in enumerate(fam.sets) if set(s) <= set(source.clique))
+    assert len(lifted) == 234
+    monkeypatch.setenv("CLIQUELAB_CAP", "332")
+    assert max_clique(product) == lifted
+    monkeypatch.setenv("CLIQUELAB_CAP", "331")
+    with pytest.raises(CapExceeded, match="clique search passed the cap of 331"):
         max_clique(product)
 
 
