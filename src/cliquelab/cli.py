@@ -69,35 +69,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce one invocation; embedded in outputs."""
-
-    subcommand: str
-    params: dict[str, Any]
-    seed: int | None = None
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
-    format: str = "json"
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "format": self.format,
-            "version": __version__,
-        }
-
-    def compact(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def _config_from_args(
+def _run_record(
     args: argparse.Namespace, subcommand: str, fmt: str = "json"
-) -> RunConfig:
+) -> dict[str, Any]:
+    """Everything needed to reproduce one invocation; embedded in outputs."""
     skip = {"func", "seed"}
     params: dict[str, Any] = {}
     inputs: list[str] = []
@@ -115,14 +90,19 @@ def _config_from_args(
             outputs.append(value)
             continue
         params[key] = value
-    return RunConfig(
-        subcommand=subcommand,
-        params=params,
-        seed=getattr(args, "seed", None),
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        format=fmt,
-    )
+    return {
+        "subcommand": subcommand,
+        "params": params,
+        "seed": getattr(args, "seed", None),
+        "inputs": inputs,
+        "outputs": outputs,
+        "format": fmt,
+        "version": __version__,
+    }
+
+
+def _compact(run: dict[str, Any]) -> str:
+    return json.dumps(run, sort_keys=True, separators=(",", ":"))
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -136,16 +116,16 @@ def _emit_json(path: str | None, payload: dict[str, Any]) -> None:
     _emit(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _text_meta(cfg: RunConfig) -> dict[str, str]:
-    return {"version": __version__, "run": cfg.compact()}
+def _text_meta(run: dict[str, Any]) -> dict[str, str]:
+    return {"version": __version__, "run": _compact(run)}
 
 
 def _csv_text(
-    cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence[Any]]
+    run: dict[str, Any], header: Sequence[str], rows: Iterable[Sequence[Any]]
 ) -> str:
     """CSV text under '# version' and '# run' comment lines."""
     buf = io.StringIO()
-    buf.write(f"# version: {__version__}\n# run: {cfg.compact()}\n")
+    buf.write(f"# version: {__version__}\n# run: {_compact(run)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -180,8 +160,7 @@ _GEN_NEEDS: dict[str, tuple[str, ...]] = {
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, f"gen {args.kind}", fmt="text")
-    meta = _text_meta(cfg)
+    meta = _text_meta(_run_record(args, f"gen {args.kind}", fmt="text"))
     if args.kind == "er":
         g = sample_er(args.n, args.p, args.seed, index=args.index)
     elif args.kind == "planted":
@@ -199,7 +178,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_rgp(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, "rgp", fmt="text")
+    run = _run_record(args, "rgp", fmt="text")
     g = load_graph(_read(args.infile))
     if args.n is not None and args.n != g.n:
         print(f"--n {args.n} disagrees with input graph n={g.n}", file=sys.stderr)
@@ -213,7 +192,7 @@ def _cmd_rgp(args: argparse.Namespace) -> int:
                 f"edge rule violated on {rep.violation_count} pairs", file=sys.stderr
             )
             return EXIT_INVARIANT
-    meta = _text_meta(cfg)
+    meta = _text_meta(run)
     _emit(args.out_graph, dump_graph(product, meta=meta))
     _emit(args.out_family, dump_family(fam, meta=meta))
     dt = time.perf_counter() - t0
@@ -288,13 +267,13 @@ _SOLVE_NEEDS: dict[str, tuple[str, ...]] = {
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, f"solve {args.problem}")
+    run = _run_record(args, f"solve {args.problem}")
     t0 = time.perf_counter()
     payload = _with_budget(
         args.budget_ms, f"solve {args.problem}", lambda: _solve_payload(args)
     )
     payload["problem"] = args.problem
-    payload["run"] = cfg.to_json_dict()
+    payload["run"] = run
     _emit_json(args.out, payload)
     print(f"solved {args.problem} in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return EXIT_OK
@@ -315,8 +294,8 @@ _REDUCE_NEEDS: dict[str, tuple[str, ...]] = {
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     name = args.name
-    cfg = _config_from_args(args, f"reduce {name}")
-    meta = _text_meta(cfg)
+    run = _run_record(args, f"reduce {name}")
+    meta = _text_meta(run)
     g = load_graph(_read(args.infile))
     rainbow = _ids(args.rainbow) if args.rainbow else None
 
@@ -326,7 +305,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             vs = reductions.dks_from_biclique(g, args.k, sides)
         else:
             vs = reductions.dks_via_skes(g, args.k, _ids(args.solution))
-        payload = {"solution": list(vs), "k": args.k, "run": cfg.to_json_dict()}
+        payload = {"solution": list(vs), "k": args.k, "run": run}
         _emit_json(args.out_instance, payload)
         print(f"selected {len(vs)} vertices", file=sys.stderr)
         return EXIT_OK
@@ -350,7 +329,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         text = dump_graph(host, meta=meta)
     _emit(args.out_instance, text)
     cert_payload = cert.to_json_dict()
-    cert_payload["run"] = cfg.to_json_dict()
+    cert_payload["run"] = run
     _emit_json(args.out_cert, cert_payload)
     print(f"reduced via {name}", file=sys.stderr)
     return EXIT_OK
@@ -406,13 +385,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     dt = time.perf_counter() - t0
 
-    cfg = _config_from_args(args, f"verify {lemma}", fmt="csv+json")
+    run = _run_record(args, f"verify {lemma}", fmt="csv+json")
     if args.out_json or not args.out_csv:
-        payload = json.loads(report.to_json())
-        payload["run"] = cfg.to_json_dict()
-        _emit_json(args.out_json, payload)
+        _emit_json(args.out_json, {**report.to_json_dict(), "run": run})
     if args.out_csv:
-        _emit(args.out_csv, _csv_text(cfg, *report.csv_rows()))
+        _emit(args.out_csv, _csv_text(run, *report.csv_rows()))
     rate = report.aggregates.get("success_rate")
     rate_note = "" if rate is None else f" success_rate={rate:.4f}"
     print(
@@ -507,8 +484,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             pool.rows.append(row)
             pool.verdicts.append(row["verdict"])
 
-    cfg = _config_from_args(args, "report", fmt="csv+json")
-    summary: dict[str, Any] = {"run": cfg.to_json_dict(), "lemmas": {}}
+    run = _run_record(args, "report", fmt="csv+json")
+    summary: dict[str, Any] = {"run": run, "lemmas": {}}
     for lemma in sorted(pools):
         pool = pools[lemma]
         entry: dict[str, Any] = {
@@ -533,7 +510,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             if col not in ("lemma", "trial", "verdict")
         ]
         header = ["lemma", "param", "trial", "value"]
-        _emit(args.out_long, _csv_text(cfg, header, rows))
+        _emit(args.out_long, _csv_text(run, header, rows))
     print(f"merged {len(args.inputs)} file(s), {len(pools)} lemma(s)", file=sys.stderr)
     return EXIT_OK
 

@@ -107,6 +107,10 @@ def clique_number(g: Graph) -> int:
 
 def _clique_dfs(rows: Sequence[int], n: int, r: int, collect: list | None) -> int:
     """Count r-cliques; optionally collect them in lexicographic order."""
+    if r == 0:
+        if collect is not None:
+            collect.append(())
+        return 1
     count = 0
 
     def rec(prefix: list[int], candidates: int, depth: int) -> None:
@@ -129,11 +133,8 @@ def _clique_dfs(rows: Sequence[int], n: int, r: int, collect: list | None) -> in
             rec(prefix, nxt, depth + 1)
             prefix.pop()
 
-    if r == 0:
-        if collect is not None:
-            collect.append(())
-        return 1
     rec([], (1 << n) - 1, 0)
+    del rec  # it refers to itself
     return count
 
 
@@ -211,6 +212,7 @@ def _most_edges(
         return False
 
     dfs([], 0, 0, 0)
+    del dfs  # it refers to itself
     return None if best_set is None else (best_set, best_edges)
 
 
@@ -307,31 +309,31 @@ def is_biclique(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     return all(g.has_edge(u, v) for u in sa for v in sb)
 
 
-def _biclique_sides(g: Graph, t: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield, in lex order, each t-set with at least t common neighbors,
-    together with the bitmask of its common neighborhood."""
-    rows = [g.row(u) for u in range(g.n)]
-
-    def dfs(chosen: tuple[int, ...], common: int, start: int):
-        check_budget()
-        if len(chosen) == t:
-            yield chosen, common
+def _biclique_sides(
+    rows: Sequence[int], t: int, chosen: tuple[int, ...], common: int, start: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield, in lex order, each t-set that extends chosen (whose common
+    neighborhood is the bitmask common) by vertices from start on and has at
+    least t common neighbors, together with the bitmask of them."""
+    check_budget()
+    if len(chosen) == t:
+        yield chosen, common
+        return
+    n = len(rows)
+    for v in range(start, n):
+        if n - v < t - len(chosen):
             return
-        for v in range(start, g.n):
-            if g.n - v < t - len(chosen):
-                return
-            nxt = common & rows[v]
-            # the common set only shrinks along a branch
-            if nxt.bit_count() < t:
-                continue
-            yield from dfs(chosen + (v,), nxt, v + 1)
-
-    return dfs((), (1 << g.n) - 1, 0)
+        nxt = common & rows[v]
+        # the common set only shrinks along a branch
+        if nxt.bit_count() < t:
+            continue
+        yield from _biclique_sides(rows, t, chosen + (v,), nxt, v + 1)
 
 
 def _find_balanced_biclique(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Lex-least side A of size t with |common(A)| >= t, B = least t common."""
-    for side, common in _biclique_sides(g, t):
+    rows = [g.row(u) for u in range(g.n)]
+    for side, common in _biclique_sides(rows, t, (), (1 << g.n) - 1, 0):
         return side, tuple([v for v in range(g.n) if common >> v & 1][:t])
     return None
 
@@ -363,9 +365,11 @@ def count_bicliques(g: Graph, ell: int) -> int:
         raise ValueError("ell must be positive")
     if ell > g.n:
         return 0
+    rows = [g.row(u) for u in range(g.n)]
     with budget(None, "biclique side enumeration"):
         return sum(
-            math.comb(common.bit_count(), ell) for _, common in _biclique_sides(g, ell)
+            math.comb(common.bit_count(), ell)
+            for _, common in _biclique_sides(rows, ell, (), (1 << g.n) - 1, 0)
         )
 
 
@@ -441,29 +445,23 @@ class SteinerForestInstance:
         return self._weight_by_edge[edge]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def satisfied_demands(
     n: int, edges: Iterable[tuple[int, int]], demands: Sequence[tuple[int, int]]
 ) -> int:
-    uf = _UnionFind(n)
+    """Number of demands (s, t) whose ends the edges on range(n) connect.
+
+    Each vertex holds its component as a bitmask; an edge between two
+    components writes their union to every member.
+    """
+    comp = [1 << v for v in range(n)]
     for u, v in edges:
-        uf.union(u, v)
-    return sum(1 for s, t in demands if uf.find(s) == uf.find(t))
+        if not comp[u] >> v & 1:
+            union = rest = comp[u] | comp[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                comp[low.bit_length() - 1] = union
+    return sum(1 for s, t in demands if comp[s] >> t & 1)
 
 
 def _cheapest_cover(
@@ -506,6 +504,7 @@ def _cheapest_cover(
         dfs(idx + 1, chosen, cost)
 
     dfs(0, [], Fraction(0))
+    del dfs  # it refers to itself
     return best
 
 
@@ -554,28 +553,34 @@ class DsnInstance:
         object.__setattr__(self, "demands", tuple(norm))
 
 
-def _out_lists(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(n)]
+def _out_masks(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
+    out = [0] * n
     for u, v in arcs:
-        out[u].append(v)
+        out[u] |= 1 << v
     return out
 
 
-def _bfs_parents(out: Sequence[Sequence[int]], src: int) -> dict[int, int]:
+def _bfs_parents(out: Sequence[int], src: int) -> dict[int, int]:
     """Parent of each vertex reachable from src (src's is -1), set when a
-    breadth-first search over the out-lists, in their order, first finds it."""
+    breadth-first search over the out-masks, lowest vertex first, first
+    finds it."""
     parent = {src: -1}
+    seen = 1 << src
     queue = [src]
     for u in queue:  # the loop reaches what it appends
-        for v in out[u]:
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
+        new = out[u] & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            new ^= low
+            v = low.bit_length() - 1
+            parent[v] = u
+            queue.append(v)
     return parent
 
 
 def _arcs_satisfy(n: int, arcs: Iterable[tuple[int, int]], demands) -> bool:
-    out = _out_lists(n, arcs)
+    out = _out_masks(n, arcs)
     reached: dict[int, dict[int, int]] = {}
     for s, t in demands:
         if s not in reached:
@@ -643,7 +648,7 @@ def directed_steiner_network(
     assert found is not None
     best_chosen, best_cost = found
     chosen_arcs = {paid[i] for i in best_chosen}
-    out = _out_lists(n, sorted(set(zero) | chosen_arcs))
+    out = _out_masks(n, set(zero) | chosen_arcs)
     witness: set[tuple[int, int]] = set()
     for s, t in inst.demands:
         parent = _bfs_parents(out, s)
@@ -701,6 +706,7 @@ def densest_k_subhypergraph(
 
     with budget(None, "k-subset search"):
         dfs([], 0, 0)
+    del dfs  # it refers to itself
     assert best_set is not None
     recount = len(h.edges_inside(best_set))
     assert recount == best_count
@@ -725,45 +731,42 @@ def detect_pattern(g: Graph, h: Graph, induced: bool) -> tuple[int, ...] | None:
         return ()
     # static order: h-vertices by descending degree, index as tie-break
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
-    assign: dict[int, int] = {}
-    used: set[int] = set()
+    rows = [g.row(u) for u in range(g.n)]
+    image = [0] * h.n  # of each h-vertex placed so far
 
-    def ok(hv: int, gv: int) -> bool:
-        if g.degree(gv) < h.degree(hv):
-            return False
-        for hu, gu in assign.items():
-            he = h.has_edge(hv, hu)
-            ge = g.has_edge(gv, gu)
-            if he and not ge:
-                return False
-            if induced and not he and ge:
-                return False
-        return True
-
-    def dfs(depth: int) -> bool:
+    def dfs(depth: int, free: int) -> bool:
         check_budget()
         if depth == h.n:
             return True
         hv = order[depth]
-        for gv in range(g.n):
-            if gv in used or not ok(hv, gv):
+        need = h.degree(hv)
+        candidates = free
+        for hu in order[:depth]:
+            if h.has_edge(hv, hu):
+                candidates &= rows[image[hu]]
+            elif induced:
+                candidates &= ~rows[image[hu]]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            gv = low.bit_length() - 1
+            if rows[gv].bit_count() < need:
                 continue
-            assign[hv] = gv
-            used.add(gv)
-            if dfs(depth + 1):
+            image[hv] = gv
+            if dfs(depth + 1, free ^ low):
                 return True
-            del assign[hv]
-            used.remove(gv)
         return False
 
     try:
         with budget(None, "pattern search"):
-            found = dfs(0)
+            found = dfs(0, (1 << g.n) - 1)
     except BudgetExceeded as exc:
         raise PatternSearchTimeout(f"{exc}; absence was NOT established") from None
+    finally:
+        del dfs  # it refers to itself
     if not found:
         return None
-    mapping = tuple(assign[v] for v in range(h.n))
+    mapping = tuple(image)
     assert len(set(mapping)) == h.n
     for u in range(h.n):
         for v in range(u + 1, h.n):

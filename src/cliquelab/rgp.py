@@ -514,6 +514,7 @@ def check_disperser(
 
             if T > 2:
                 dfs(0, [], 0, 0)
+            del dfs  # it refers to itself
             # Depth <= 2 violations were found in the exact sweep above.
         else:
             rng = as_seed(seed).stream("disperser-sample", index)

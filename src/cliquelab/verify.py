@@ -78,15 +78,17 @@ class TrialReport:
         if rate is not None and not 0.0 <= rate <= 1.0:
             raise ValueError(f"success rate {rate} outside [0, 1]")
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
             "lemma": self.lemma,
             "config": _jsonable(self.config),
             "aggregates": _jsonable(self.aggregates),
             "verdict": self.verdict,
             "trials": _jsonable(list(self.trials)),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def csv_rows(self) -> tuple[list[str], list[list[str]]]:
         """One row per trial; columns are the union of trial-record keys.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from _util import random_graph
 from cliquelab import oracles
 from cliquelab.caps import VERTEX_CAP, budget
-from cliquelab.ensembles import sample_er, sample_planted
+from cliquelab.ensembles import sample_er, sample_pattern, sample_planted
 from cliquelab.errors import CapExceeded, InfeasibleError, PatternSearchTimeout
 from cliquelab.graph import Graph, Hypergraph, WeightedDigraph, _bits
 from cliquelab.oracles import (
@@ -37,7 +38,7 @@ from cliquelab.oracles import (
     steiner_k_forest,
 )
 from cliquelab.reductions import skes_to_dsn, skes_to_steiner_forest
-from cliquelab.rgp import rgp
+from cliquelab.rgp import check_disperser, rgp, sample_family
 
 
 def _nx(g: Graph) -> nx.Graph:
@@ -499,6 +500,24 @@ def test_satisfied_demands():
     assert satisfied_demands(4, edges, demands) == 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=15),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_satisfied_demands_matches_networkx_components(n, m, d, seed):
+    rng = random.Random(seed)
+    edges = [tuple(rng.sample(range(n), 2)) for _ in range(m)] if n > 1 else []
+    demands = [(rng.randrange(n), rng.randrange(n)) for _ in range(d)]
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    comp = {v: i for i, c in enumerate(nx.connected_components(h)) for v in c}
+    assert satisfied_demands(n, edges, demands) == sum(comp[s] == comp[t] for s, t in demands)
+
+
 def test_steiner_matches_brute_force_small():
     rng = random.Random(31)
     for _ in range(8):
@@ -756,6 +775,97 @@ def test_detect_pattern_times_out_under_enclosing_budget():
         detect_pattern(g, h, induced=True)
 
 
+def _detect_pattern_reference(
+    g: Graph, h: Graph, induced: bool
+) -> tuple[tuple[int, ...] | None, int]:
+    """The former detect_pattern search, which scans its partial assignment
+    for every candidate; returns its mapping and the nodes it expanded."""
+    if h.n > g.n:
+        return None, 0
+    if h.n == 0:
+        return (), 0
+    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    assign: dict[int, int] = {}
+    used: set[int] = set()
+    nodes = 0
+
+    def ok(hv: int, gv: int) -> bool:
+        if g.degree(gv) < h.degree(hv):
+            return False
+        for hu, gu in assign.items():
+            he = h.has_edge(hv, hu)
+            ge = g.has_edge(gv, gu)
+            if he and not ge:
+                return False
+            if induced and not he and ge:
+                return False
+        return True
+
+    def dfs(depth: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if depth == h.n:
+            return True
+        hv = order[depth]
+        for gv in range(g.n):
+            if gv in used or not ok(hv, gv):
+                continue
+            assign[hv] = gv
+            used.add(gv)
+            if dfs(depth + 1):
+                return True
+            del assign[hv]
+            used.remove(gv)
+        return False
+
+    found = dfs(0)
+    return (tuple(assign[v] for v in range(h.n)) if found else None), nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=14),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_detect_pattern_expands_the_nodes_of_the_assignment_scan(n, k, p, induced, seed):
+    rng = random.Random(seed)
+    g = random_graph(n, p, rng)
+    h = random_graph(k, p, rng)
+    nodes = 0
+
+    def count_node() -> None:
+        nonlocal nodes
+        nodes += 1
+
+    with mock.patch.object(oracles, "check_budget", count_node):
+        mapping = detect_pattern(g, h, induced)
+    assert (mapping, nodes) == _detect_pattern_reference(g, h, induced)
+
+
+def test_detect_pattern_expands_a_pinned_node_count_when_absent(monkeypatch):
+    # an induced 7-vertex pattern with non-edges that G(16, 1/2) does not
+    # hold: absence is established over the whole search tree
+    g = sample_er(16, Fraction(1, 2), 29)
+    h = sample_pattern(7, 29)
+    monkeypatch.setenv("CLIQUELAB_CAP", "1041")
+    assert detect_pattern(g, h, induced=True) is None
+    monkeypatch.setenv("CLIQUELAB_CAP", "1040")
+    with pytest.raises(CapExceeded, match="pattern search passed the cap of 1040"):
+        detect_pattern(g, h, induced=True)
+
+
+def test_detect_pattern_expands_a_pinned_node_count_when_found(monkeypatch):
+    g = sample_er(20, Fraction(1, 2), 1)
+    monkeypatch.setenv("CLIQUELAB_CAP", "1224")
+    assert detect_pattern(g, Graph.complete(6), induced=False) == (5, 6, 7, 10, 13, 16)
+    monkeypatch.setenv("CLIQUELAB_CAP", "1223")
+    with pytest.raises(CapExceeded, match="pattern search passed the cap of 1223"):
+        detect_pattern(g, Graph.complete(6), induced=False)
+
+
 def test_enum_cap_respected(monkeypatch):
     # the cap counts nodes expanded, not C(n, k): on K10 the bound prunes every
     # branch after the first path (6 nodes); on the empty graph it expands 211
@@ -881,3 +991,46 @@ def test_detect_pattern_small_cap_refused(monkeypatch):
     g = random_graph(50, 0.5, random.Random(1))
     with pytest.raises(CapExceeded, match="pattern search"):
         detect_pattern(g, Graph.empty(6), induced=True)
+
+
+def _search_cases():
+    g = sample_er(12, Fraction(1, 2), 5)
+    steiner, _ = skes_to_steiner_forest(sample_er(7, Fraction(1, 2), 1), 4)
+    dsn, _ = skes_to_dsn(Graph.complete(5), 2, seed=1, rainbow=[0, 1])
+    h = Hypergraph(6, [(0, 1, 2), (1, 2, 3), (2, 4), (3, 4, 5)])
+    return {
+        "max_clique": lambda: max_clique(g),
+        "count_cliques": lambda: count_cliques(g, 3),
+        "clique_list": lambda: clique_list(g, 3),
+        "densest_k_subgraph": lambda: densest_k_subgraph(g, 4),
+        "den_leq_k": lambda: den_leq_k(g, 3),
+        # omega = 4 < k = 5, so _most_edges runs after the clique search
+        "den_leq_k_without_a_k_clique": lambda: den_leq_k(
+            sample_er(30, Fraction(1, 4), 711), 5
+        ),
+        "smallest_k_edge_subgraph": lambda: smallest_k_edge_subgraph(g, 6),
+        "max_balanced_biclique": lambda: max_balanced_biclique(g),
+        "count_bicliques": lambda: count_bicliques(g, 2),
+        "contains_ktt": lambda: contains_ktt(g, 2),
+        "steiner_k_forest": lambda: steiner_k_forest(steiner),
+        "directed_steiner_network": lambda: directed_steiner_network(dsn),
+        "densest_k_subhypergraph": lambda: densest_k_subhypergraph(h, 4),
+        "detect_pattern": lambda: detect_pattern(g, Graph.cycle(4), induced=True),
+        "check_disperser": lambda: check_disperser(
+            sample_family(10, 12, 2, 3), Fraction(1, 2), 4
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_search_cases()))
+def test_searches_leave_no_reference_cycle(name):
+    # a self-referencing closure left behind would hold the search's state
+    # until a later gc pass
+    search = _search_cases()[name]
+    gc.disable()
+    try:
+        gc.collect()
+        search()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
