@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -518,7 +519,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # -- parser wiring -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process: argparse makes a help
+    formatter per argument, and main() parses with the one tree each call."""
     parser = _Parser(prog="cliquelab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")

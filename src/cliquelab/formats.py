@@ -1,19 +1,27 @@
 """Serialization: plain text for graphs and families, JSON for instances.
 
 Text formats use one header line carrying a type tag and counts, then one
-line per item.  Full-line `#` comments are allowed anywhere after the header
-and are ignored on load, except that `# key: value` lines are surfaced
-through parse_meta (used for planted-clique sidecars and family source
-sizes).  Steiner-forest and reachability instances travel as JSON.
+line per item.  Full-line `#` comments are allowed anywhere and are ignored
+on load, except that `# key: value` lines are surfaced through parse_meta
+(used for planted-clique sidecars and family source sizes).  Steiner-forest
+and reachability instances travel as JSON.
 
 Every integer a text format holds (header counts, items, the `source-n`
 meta value) is ASCII decimal: an optional sign, then the digits 0-9.
 
-A graph is `g <n> <m>` followed by m edge lines.  An edge line holds two
-integers u < v separated by spaces or tabs; `#` may only start a full line,
-so `0 1 # x` is refused.  Blank lines are skipped.  dump_graph writes the
-edges in sorted order, one `u v` line each, after the header and any
-`# key: value` lines.
+A graph is `g <n> <m>` followed by m edge lines, each two integers u < v.
+load_graph reads the text's UTF-8 bytes in one numpy pass by this grammar:
+a line ends in LF or CRLF, and the last line may lack its end; a blank is
+a space or a tab.  A line of blanks is skipped, and so is a comment line,
+one whose first non-blank byte is `#`, whatever it holds up to its LF.
+Every other line is a data line of tokens between blanks, so `0 1 # x` is
+refused.  A data line may hold no other whitespace: a vertical tab, a form
+feed, bytes 0x1C-0x1F, NEL, U+2028, U+2029, a CR that does not end the
+line and non-ASCII whitespace are refused, and where str.splitlines or
+str.strip would take one for a line end or a blank, the message names the
+line by its number.  Only to name a refused line does load_graph read
+the text line by line.  dump_graph writes the edges in sorted order, one
+`u v` line each, after the header and any `# key: value` lines.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import os
 import re
 import tempfile
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, NoReturn
 
 import numpy as np
 
@@ -106,9 +114,13 @@ def dump_graph(g: Graph, meta: Mapping[str, str] | None = None) -> str:
 _POLL_LINES = 65536
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 _BLANKS = re.compile(r"[ \t]+")
-# Some numpy releases parse "1.5" or "2e0" as an int64 through a float, so
-# a block reaches np.loadtxt only if it holds nothing but these bytes.
-_GRAMMAR = b"0123456789+- \t"
+# Where str.splitlines ends a line, besides LF and CRLF.
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# The low nibbles of the last c bytes of a little-endian word, for c = 0..8: an
+# edge token is read as the 8 bytes that end it, and its c digits are the last c.
+_DIGIT_NIBBLES = np.array(
+    [0x0F0F0F0F0F0F0F0F & ~((1 << 8 * (8 - c)) - 1) for c in range(9)], dtype=np.uint64
+)
 
 
 def _decimal(token: str) -> int:
@@ -117,46 +129,154 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
-def _parse_edge_block(block: list[str], n: int) -> np.ndarray:
-    """Parse stripped edge lines into a (len(block), 2) int64 array."""
-    if not " ".join(block).encode().translate(None, _GRAMMAR):
-        try:
-            pairs = np.loadtxt(block, dtype=np.int64, ndmin=2, comments=None)
-        except ValueError:
-            pass  # a line with another column count, or a token beyond int64
-        else:
-            if pairs.shape[1] == 2:
-                return pairs
-    for line in block:
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The values of little-endian words of 8 digits 0-9, one per byte, the
+    most significant in the lowest byte: pairs, then quads, then all 8."""
+    words = words * np.uint64(10 << 8 | 1) >> np.uint64(8)
+    words &= np.uint64(0x00FF00FF00FF00FF)
+    words *= np.uint64(100 << 16 | 1)
+    words >>= np.uint64(16)
+    words &= np.uint64(0x0000FFFF0000FFFF)
+    words *= np.uint64(10000 << 32 | 1)
+    words >>= np.uint64(32)
+    return words.view(np.int64)
+
+
+def _blank_comments(buf: bytearray, b: np.ndarray) -> bool:
+    """Overwrite each comment line, from its '#' on, with spaces; False if a
+    '#' is not the first non-blank byte of its line."""
+    hashes = np.flatnonzero(b == ord("#"))
+    i = 0
+    while i < hashes.size:
+        at = int(hashes[i])
+        if buf[buf.rfind(b"\n", 0, at) + 1 : at].strip(b" \t"):
+            return False
+        end = buf.find(b"\n", at)
+        b[at:end] = ord(" ")
+        i = int(np.searchsorted(hashes, end))
+    return True
+
+
+def _refuse_graph(text: str) -> NoReturn:
+    """Raise the ValueError that names what load_graph's byte pass refused.
+
+    Reads the text line by line.  It first looks for a data line that holds
+    whitespace other than blanks: a line break of str.splitlines anywhere,
+    other whitespace at either end, or any in the header.  Then it makes the
+    checks in load_graph's order: header, vertex cap, line count, tokens,
+    u < v, range.
+    """
+    lines: list[str] = []
+    for number, line in enumerate(text.split("\n"), 1):
+        item = line.removesuffix("\r").strip(" \t")
+        if not item or item[0] == "#":
+            continue
+        # where str.splitlines broke the line, or whitespace str.strip took off its
+        # ends, or str.split took for a blank in the header
+        rims = item if not lines else item[0] + item[-1]
+        odd = [c for c in item if c in _BREAKS] or [
+            c for c in rims if c.isspace() and c not in " \t"
+        ]
+        if odd:
+            raise ValueError(
+                f"line {number} holds {odd[0]!r}, neither a blank (space or tab) "
+                f"nor a line end (LF or CRLF): {line!r}"
+            )
+        lines.append(item)
+    if not lines:
+        raise ValueError("empty input")
+    header = lines[0].split()
+    if header[0] != "g":
+        raise ValueError(f"expected header tag 'g', got {lines[0]!r}")
+    if len(header) != 3:
+        raise ValueError(f"graph header must be 'g <n> <m>', got {header}")
+    n, m = _decimal(header[1]), _decimal(header[2])
+    check_vertices(n)
+    body = lines[1:]
+    if len(body) != m:
+        raise ValueError(f"header promises {m} edges, found {len(body)} lines")
+    pairs = []
+    for line in body:
         tokens = _BLANKS.split(line)
         if len(tokens) != 2:
             raise ValueError(f"malformed edge line {line!r}")
         for token in tokens:
             if not -(2**63) <= _decimal(token) < 2**63:
                 raise ValueError(f"edge endpoint {token} beyond int64, out of range for n={n}")
-    raise ValueError("unparsable edge lines")
+        pairs.append((int(tokens[0]), int(tokens[1])))
+    for (u, v), line in zip(pairs, body):
+        if u >= v:
+            raise ValueError(f"edge lines must satisfy u < v, got {line!r}")
+    for u, v in pairs:
+        if u < 0 or v >= n:
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    raise AssertionError("load_graph's byte pass refused a text its line pass accepts")
 
 
 def load_graph(text: str) -> Graph:
-    header, body = _data_lines(text, "g")
-    if len(header) != 3:
-        raise ValueError(f"graph header must be 'g <n> <m>', got {header}")
-    n, m = _decimal(header[1]), _decimal(header[2])
+    """Read a graph text by the grammar of this module's docstring; a
+    ValueError names what it refuses, by line where it can."""
+    # Eight LFs before the text, so that the 8-byte word ending at any token
+    # lies in the buffer, and one after it, so that its last line needs none.
+    buf = bytearray(f"\n\n\n\n\n\n\n\n{text}\n".encode("utf-8", "surrogatepass"))
+    b = np.frombuffer(buf, dtype=np.uint8)
+    if not _blank_comments(buf, b):
+        _refuse_graph(text)
+    lf = b == ord("\n")
+    blank = lf | (b == ord(" ")) | (b == ord("\t"))
+    if b"\r" in buf:
+        blank[:-1] |= lf[1:] & (b[:-1] == ord("\r"))  # the CR of a CRLF
+    bounds = np.flatnonzero(blank[:-1] != blank[1:]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]  # token i is b[starts[i]:ends[i]]
+    if starts.size < 3 or buf[starts[0] : ends[0]] != b"g":
+        _refuse_graph(text)
+    # Token i opens a line iff an LF lies between it and token i - 1: look at
+    # the byte before it, or at the whole gap if that is a longer run of blanks.
+    head = b[starts - 1] == ord("\n")
+    wide = np.flatnonzero(~head[1:] & (starts[1:] - ends[:-1] > 1)) + 1
+    if wide.size:
+        gaps = np.stack((ends[wide - 1], starts[wide]), axis=1).ravel()
+        head[wide] = np.logical_or.reduceat(lf, gaps)[0::2]
+    n, m = (buf[starts[i] : ends[i]].decode("latin-1") for i in (1, 2))
+    if head[1:3].any() or not head[3:4].all():
+        _refuse_graph(text)  # the header line holds other than three tokens
+    if not (_DECIMAL.fullmatch(n) and _DECIMAL.fullmatch(m)):
+        _refuse_graph(text)
+    n, m = int(n), int(m)
     check_vertices(n)  # before the n x n matrix below is allocated
-    if len(body) != m:
-        raise ValueError(f"header promises {m} edges, found {len(body)} lines")
-    blocks = [np.zeros((0, 2), dtype=np.int64)]
-    for lo in range(0, m, _POLL_LINES):
+    if starts.size != 3 + 2 * m or not head[3::2].all() or head[4::2].any():
+        _refuse_graph(text)  # the header is not followed by m lines of two tokens
+    # Past the header, a byte that is neither blank nor a digit must be a sign
+    # that opens a token and precedes a digit.
+    digit = b - np.uint8(ord("0")) < 10
+    signs = np.flatnonzero(~(digit | blank))
+    signs = signs[signs >= ends[2]]
+    if signs.size and not (
+        np.isin(b[signs], (ord("+"), ord("-"))).all()
+        and blank[signs - 1].all()
+        and digit[signs + 1].all()
+    ):
+        _refuse_graph(text)
+    starts, ends = starts[3:], ends[3:]
+    count = ends - starts  # the digits of each edge token
+    signed = np.searchsorted(starts, signs)
+    count[signed] -= 1
+    for i in np.flatnonzero(count > 8):  # digits beyond the last 8 must be leading zeros
+        if buf[ends[i] - count[i] : ends[i] - 8].strip(b"0"):
+            _refuse_graph(text)  # out of range: n <= VERTEX_CAP < 10**8
+        count[i] = 8
+    words = np.ndarray((b.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    values = np.empty(2 * m, dtype=np.int64)
+    for lo in range(0, 2 * m, 2 * _POLL_LINES):
         check_budget(0)  # the deadline only: parsing expands no search node
-        blocks.append(_parse_edge_block(body[lo : lo + _POLL_LINES], n))
-    u, v = np.concatenate(blocks).T
-    bad = np.flatnonzero(u >= v)
-    if bad.size:
-        raise ValueError(f"edge lines must satisfy u < v, got {body[bad[0]]!r}")
-    bad = np.flatnonzero((u < 0) | (v >= n))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for n={n}")
+        hi = lo + 2 * _POLL_LINES
+        block = words[ends[lo:hi] - 8]
+        block &= _DIGIT_NIBBLES[count[lo:hi]]
+        values[lo:hi] = _eight_digits(block)
+    values[signed[b[signs] == ord("-")]] *= -1
+    u, v = values[0::2], values[1::2]
+    if not ((u < v).all() and (u >= 0).all() and (v < n).all()):
+        _refuse_graph(text)
     adj = np.zeros((n, n), dtype=bool)
     adj[u, v] = adj[v, u] = True
     if np.count_nonzero(adj) != 2 * m:
@@ -227,10 +347,17 @@ def dump_family(fam: SubsetFamily, meta: Mapping[str, str] | None = None) -> str
         for key, value in meta.items():
             if key != "source-n":
                 merged[key] = value
-    lines = [f"f {fam.N} {fam.ell}"]
-    lines.extend(_meta_lines(merged))
-    lines.extend(" ".join(map(str, s)) for s in fam.sets)
-    return "\n".join(lines) + "\n"
+    head = "\n".join([f"f {fam.N} {fam.ell}", *_meta_lines(merged)]) + "\n"
+    # Each draw as NUL-padded ASCII and a space, the last draw of a row with an
+    # LF instead; a draw equal to the next one (rows are sorted) is all NULs.
+    width = len(str(fam.source_n - 1))
+    digits = np.arange(fam.source_n).astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    cells = np.empty((fam.N, fam.ell, width + 1), dtype=np.uint8)
+    cells[:, :, :width] = digits[fam.draws]
+    cells[:, :, width] = ord(" ")
+    cells[:, -1, width] = ord("\n")
+    cells[:, :-1][fam.draws[:, :-1] == fam.draws[:, 1:]] = 0
+    return head + cells[cells != 0].tobytes().decode("ascii")
 
 
 def load_family(text: str, source_n: int | None = None) -> SubsetFamily:

@@ -86,8 +86,10 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
                 return False
         return False
 
-    dfs([], candidates)
-    del dfs  # it refers to itself: free keep now, not at a later gc pass
+    try:
+        dfs([], candidates)
+    finally:
+        del dfs  # it refers to itself: free keep now, not at a later gc pass
     return best
 
 
@@ -133,8 +135,10 @@ def _clique_dfs(rows: Sequence[int], n: int, r: int, collect: list | None) -> in
             rec(prefix, nxt, depth + 1)
             prefix.pop()
 
-    rec([], (1 << n) - 1, 0)
-    del rec  # it refers to itself
+    try:
+        rec([], (1 << n) - 1, 0)
+    finally:
+        del rec  # it refers to itself
     return count
 
 
@@ -211,8 +215,10 @@ def _most_edges(
                 return False
         return False
 
-    dfs([], 0, 0, 0)
-    del dfs  # it refers to itself
+    try:
+        dfs([], 0, 0, 0)
+    finally:
+        del dfs  # it refers to itself
     return None if best_set is None else (best_set, best_edges)
 
 
@@ -503,8 +509,10 @@ def _cheapest_cover(
         chosen.pop()
         dfs(idx + 1, chosen, cost)
 
-    dfs(0, [], Fraction(0))
-    del dfs  # it refers to itself
+    try:
+        dfs(0, [], Fraction(0))
+    finally:
+        del dfs  # it refers to itself
     return best
 
 
@@ -579,13 +587,27 @@ def _bfs_parents(out: Sequence[int], src: int) -> dict[int, int]:
     return parent
 
 
+def _reach(out: Sequence[int], src: int) -> int:
+    """Mask of the vertices reachable from src over the out-masks."""
+    seen = frontier = 1 << src
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            step |= out[low.bit_length() - 1]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
 def _arcs_satisfy(n: int, arcs: Iterable[tuple[int, int]], demands) -> bool:
     out = _out_masks(n, arcs)
-    reached: dict[int, dict[int, int]] = {}
+    reached: dict[int, int] = {}
     for s, t in demands:
         if s not in reached:
-            reached[s] = _bfs_parents(out, s)
-        if t not in reached[s]:
+            reached[s] = _reach(out, s)
+        if not reached[s] >> t & 1:
             return False
     return True
 
@@ -704,9 +726,11 @@ def densest_k_subhypergraph(
             dfs(chosen, mask | (1 << v), v + 1)
             chosen.pop()
 
-    with budget(None, "k-subset search"):
-        dfs([], 0, 0)
-    del dfs  # it refers to itself
+    try:
+        with budget(None, "k-subset search"):
+            dfs([], 0, 0)
+    finally:
+        del dfs  # it refers to itself
     assert best_set is not None
     recount = len(h.edges_inside(best_set))
     assert recount == best_count

@@ -512,9 +512,11 @@ def check_disperser(
                     if t2 < T and s2 < thr_max:
                         dfs(idx + 1, members + [idx], u2, s2)
 
-            if T > 2:
-                dfs(0, [], 0, 0)
-            del dfs  # it refers to itself
+            try:
+                if T > 2:
+                    dfs(0, [], 0, 0)
+            finally:
+                del dfs  # it refers to itself
             # Depth <= 2 violations were found in the exact sweep above.
         else:
             rng = as_seed(seed).stream("disperser-sample", index)

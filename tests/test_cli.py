@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import threading
 import time
 
 import pytest
 
 from cliquelab import verify as verify_mod
-from cliquelab.cli import main
+from cliquelab.cli import build_parser, main
 from cliquelab.formats import dump_graph, load_family, load_graph, load_steiner
 from cliquelab.graph import Graph
 from cliquelab.verify import INVARIANT_FAIL, STATISTICAL_FAIL, TrialReport
@@ -49,6 +50,35 @@ def test_solve_missing_required_flag(tmp_path, capsys):
 
 def test_solve_missing_input_file(tmp_path):
     assert main(["solve", "max-clique", "--in", str(tmp_path / "nope.txt")]) == 1
+
+
+def test_main_answers_as_a_fresh_parser_when_it_reuses_one(tmp_path, capsys):
+    src, product, family = (str(tmp_path / name) for name in ("src", "product", "family"))
+    calls = [
+        ["solve", "max-clique"],
+        ["gen", "planted", "--n", "14", "--kappa", "5", "--seed", "3", "--out", src],
+        ["gen", "er", "--seed", "3"],
+        ["rgp", "--in", src, "--ell", "2", "--N", "40", "--seed", "3", "--check",
+         "--out-graph", product, "--out-family", family],
+        ["solve", "max-clique", "--in", product],
+        ["--version"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        files = [open(path).read() for path in (src, product, family) if path in argv]
+        return code, out, re.sub(r"\d+\.\d\ds\b", "<time>", err), files
+
+    build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, *_ in reused] == [1, 0, 1, 0, 0, 0]
 
 
 # -- gen -------------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -28,12 +29,12 @@ from cliquelab.formats import (
     parse_meta,
     parse_weight,
 )
-from cliquelab.caps import budget
+from cliquelab.caps import budget, check_vertices
 from cliquelab.ensembles import sample_er, sample_planted
-from cliquelab.errors import BudgetExceeded, InfeasibleError
+from cliquelab.errors import BudgetExceeded, CapExceeded, InfeasibleError
 from cliquelab.graph import Graph, Hypergraph, WeightedDigraph
 from cliquelab.oracles import DsnInstance, SteinerForestInstance, steiner_k_forest
-from cliquelab.rgp import SubsetFamily, rgp
+from cliquelab.rgp import SubsetFamily, rgp, sample_family
 
 
 def test_graph_round_trip(c5):
@@ -191,6 +192,220 @@ def test_graph_round_trip_random(n, p, seed):
     assert load_graph(dump_graph(g)) == g
 
 
+# -- the former line-by-line loader, the reference for load_graph's byte pass --
+
+
+def _former_data_lines(text: str, expected_tag: str) -> tuple[list[str], list[str]]:
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    if not lines:
+        raise ValueError("empty input")
+    header = lines[0].split()
+    if not header or header[0] != expected_tag:
+        raise ValueError(f"expected header tag {expected_tag!r}, got {lines[0]!r}")
+    return header, lines[1:]
+
+
+def _former_decimal(token: str) -> int:
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(f"invalid literal {token!r}: not an ASCII decimal integer")
+    return int(token)
+
+
+def _former_parse_edge_block(block: list[str], n: int) -> np.ndarray:
+    if not " ".join(block).encode().translate(None, b"0123456789+- \t"):
+        try:
+            pairs = np.loadtxt(block, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if pairs.shape[1] == 2:
+                return pairs
+    for line in block:
+        tokens = re.split(r"[ \t]+", line)
+        if len(tokens) != 2:
+            raise ValueError(f"malformed edge line {line!r}")
+        for token in tokens:
+            if not -(2**63) <= _former_decimal(token) < 2**63:
+                raise ValueError(f"edge endpoint {token} beyond int64, out of range for n={n}")
+    raise ValueError("unparsable edge lines")
+
+
+def _former_load_graph(text: str) -> Graph:
+    header, body = _former_data_lines(text, "g")
+    if len(header) != 3:
+        raise ValueError(f"graph header must be 'g <n> <m>', got {header}")
+    n, m = _former_decimal(header[1]), _former_decimal(header[2])
+    check_vertices(n)
+    if len(body) != m:
+        raise ValueError(f"header promises {m} edges, found {len(body)} lines")
+    blocks = [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, m, 65536):
+        blocks.append(_former_parse_edge_block(body[lo : lo + 65536], n))
+    u, v = np.concatenate(blocks).T
+    bad = np.flatnonzero(u >= v)
+    if bad.size:
+        raise ValueError(f"edge lines must satisfy u < v, got {body[bad[0]]!r}")
+    bad = np.flatnonzero((u < 0) | (v >= n))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for n={n}")
+    adj = np.zeros((n, n), dtype=bool)
+    adj[u, v] = adj[v, u] = True
+    if np.count_nonzero(adj) != 2 * m:
+        raise ValueError("duplicate edge lines")
+    return Graph.from_bool_matrix(adj)
+
+
+def _outcome(load, text: str):
+    """The graph a loader returns, or the type and message of its refusal."""
+    try:
+        return load(text)
+    except (ValueError, CapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_FILLER_LINES = (
+    "", "  ", "\t", " \t ", "#", "# note", "  # indented", "\t#tab", "# a: b",
+    "# \xe9t\xe9 \u2211 \u65e5\u672c", "#\xa0no-break space", "# \U0001f600",
+)
+
+
+def _blanks(rng: random.Random, least: int) -> str:
+    return "".join(rng.choice(" \t") for _ in range(rng.choice((least, least, least + 1, 3))))
+
+
+def _spell(token: str, rng: random.Random) -> str:
+    """token with, at times, a '+' sign and leading zeros."""
+    sign = rng.choice(("", "", "", "+"))
+    return sign + "0" * rng.choice((0, 0, 0, 1, 2, 12)) + token
+
+
+def _decorate(text: str, rng: random.Random) -> str:
+    """text with filler lines, extra blanks, CRLF ends, signs and leading zeros."""
+    out = []
+    for line in text.splitlines():
+        out.extend(rng.choice(_FILLER_LINES) for _ in range(rng.choice((0, 0, 0, 1, 2))))
+        if not line.startswith("#"):
+            tag, *tokens = line.split(" ")
+            if tag != "g":
+                tag = _spell(tag, rng)
+            tokens = [_spell(token, rng) for token in tokens]
+            line = _blanks(rng, 0) + _blanks(rng, 1).join([tag, *tokens]) + _blanks(rng, 0)
+        out.append(line)
+    out = [line + rng.choice(("\n", "\r\n")) for line in out]
+    if rng.random() < 0.3:
+        out[-1] = out[-1].rstrip("\r\n")
+    return "".join(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 200), st.floats(0, 1), st.integers(0, 10**6), st.booleans())
+def test_load_graph_reads_decorated_text_as_the_former_loader(n, p, seed, meta):
+    g = random_graph(n, p, random.Random(seed))
+    text = _decorate(dump_graph(g, {"note": "x"} if meta else None), random.Random(seed))
+    assert load_graph(text) == _former_load_graph(text) == g
+
+
+# replacements that add no line break and no whitespace but spaces and tabs
+_CORRUPT_CHARS = "0123456789+-gx#. \t\n_e\x00\xe9\u0661"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 40), st.floats(0, 1), st.integers(0, 10**6), st.integers(0, 10**6),
+    st.sampled_from(("replace", "insert", "delete")), st.sampled_from(_CORRUPT_CHARS),
+)
+def test_load_graph_refuses_a_corrupt_line_as_the_former_loader(n, p, seed, where, how, char):
+    lines = dump_graph(random_graph(n, p, random.Random(seed)), {"note": "x"}).split("\n")
+    data = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    i = data[where % len(data)]
+    at = where // len(data) % (len(lines[i]) + (how == "insert"))
+    tail = lines[i][at + (how != "insert") :]
+    lines[i] = lines[i][:at] + ("" if how == "delete" else char) + tail
+    text = "\n".join(lines)
+    new, former = _outcome(load_graph, text), _outcome(_former_load_graph, text)
+    assert new == former
+
+
+def test_load_graph_refuses_the_former_loader_on_a_later_block():
+    header, *body = dump_graph(_edges_70000()).splitlines()
+    for line, message in (("3 2", "u < v, got '3 2'"), ("5 +999", r"edge \(5, 999\) out")):
+        lines = body.copy()
+        lines[69000] = line
+        text = "\n".join([header, *lines])
+        with pytest.raises(ValueError, match=message):
+            load_graph(text)
+        assert _outcome(load_graph, text) == _outcome(_former_load_graph, text)
+
+
+def test_load_graph_names_the_fault_the_former_loader_named_first():
+    # tokens before u < v before range before duplicates, each over all lines
+    cases = {
+        "g 3 2\n0 5\n2 1\n": "edge lines must satisfy u < v, got '2 1'",
+        "g 3 2\n2 1\n0 x\n": "invalid literal 'x'",
+        "g 3 2\n0 5\n1 2 3\n": "malformed edge line '1 2 3'",
+        "g 3 3\n0 1\n0 1\n0 5\n": r"edge \(0, 5\) out of range for n=3",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ValueError, match=message):
+            load_graph(text)
+        assert _outcome(load_graph, text) == _outcome(_former_load_graph, text)
+
+
+@pytest.mark.parametrize(
+    "char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"],
+    ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS", "lone-CR"],
+)
+def test_load_graph_refuses_a_line_break_str_splitlines_took(char):
+    # the former loader read "0 1<char>1 2" as two edge lines
+    text = f"g 3 2\n0 1{char}1 2\n"
+    assert _former_load_graph(text) == Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=re.escape(f"line 2 holds {char!r}")):
+        load_graph(text)
+
+
+@pytest.mark.parametrize(
+    "text, char, line",
+    [
+        ("g 3 1\n0 1\xa0\n", "\xa0", 2),
+        ("g 3 1\n0 1\u3000\n", "\u3000", 2),
+        ("g 3 1\n0 1\x1f\n", "\x1f", 2),
+        ("g 3 1\n0 1\v\n", "\v", 2),
+        ("g 3 1\n\u2003 0 1\n", "\u2003", 2),
+        ("g 3 1\n\xa0\n0 1\n", "\xa0", 2),
+        ("g 3 1\xa0\n0 1\n", "\xa0", 1),
+        ("g\xa03 1\n0 1\n", "\xa0", 1),
+        ("# c\n\xa0# c\ng 3 1\n0 1\n", "\xa0", 2),
+    ],
+    ids=["NBSP-end", "ideographic-end", "US-end", "VT-end", "em-space-start", "NBSP-line",
+         "header-end", "header-inside", "before-a-comment"],
+)
+def test_load_graph_refuses_whitespace_str_strip_took(text, char, line):
+    # the former loader stripped it, or split the header at it
+    assert _former_load_graph(text) == Graph(3, [(0, 1)])
+    with pytest.raises(ValueError, match=re.escape(f"line {line} holds {char!r}")):
+        load_graph(text)
+
+
+def test_load_graph_reads_any_utf8_in_a_comment():
+    text = "# \xe9\u2028\v\r x\ng 3 1\n  # \x85 \udcff\n0 1\n"
+    assert load_graph(text) == Graph(3, [(0, 1)])
+
+
+def test_load_graph_reads_the_products_it_dumps():
+    for planted in (False, True):
+        source = (
+            sample_planted(60, Fraction(1, 2), 20, 7, index=1).graph
+            if planted
+            else sample_er(60, Fraction(1, 2), 7, index=1)
+        )
+        product, _ = rgp(source, 2000, 2, 7, index=1)
+        text = dump_graph(product, {"arm": str(planted)})
+        assert load_graph(text) == product
+        crlf = _decorate(text, random.Random(1))
+        assert load_graph(crlf) == product
+
+
 def test_weight_formatting_exact():
     assert format_weight(Fraction(3)) == "3"
     assert format_weight(Fraction(1, 2)) == "0.5"
@@ -226,6 +441,34 @@ def test_family_round_trip_and_source_n():
     assert load_family(text) == fam
     # explicit override wins over the embedded meta
     assert load_family(text, source_n=12).source_n == 12
+
+
+def _dump_family_reference(fam: SubsetFamily, meta: dict[str, str] | None = None) -> str:
+    """The former dump_family: one join per set of fam.sets."""
+    merged = {"source-n": str(fam.source_n)}
+    merged.update((key, value) for key, value in (meta or {}).items() if key != "source-n")
+    lines = [f"f {fam.N} {fam.ell}"]
+    lines.extend(f"# {key}: {value}" for key, value in merged.items())
+    lines.extend(" ".join(map(str, s)) for s in fam.sets)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source_n", [1, 10, 11, 100, 101])
+def test_dump_family_matches_the_per_set_writer_where_digit_widths_change(source_n):
+    metas = (None, {"run": "{}", "source-n": "999", "version": "0.1.0"})
+    families = [
+        sample_family(source_n, 300, ell, 5, index=source_n) for ell in (1, 2, 3)
+    ]
+    top = source_n - 1
+    sets = [(top,), tuple(sorted({0, top})), (0,), tuple(range(min(3, source_n)))]
+    families.append(SubsetFamily(source_n, 3, sets))
+    families.append(SubsetFamily(source_n, 3, []))
+    assert any(len(s) < 3 for s in families[2].sets)  # repeated draws at ell = 3
+    for fam in families:
+        for meta in metas:
+            text = dump_family(fam, meta)
+            assert text == _dump_family_reference(fam, meta)
+            assert load_family(text) == fam
 
 
 def test_family_infers_source_n_without_meta():

@@ -1034,3 +1034,35 @@ def test_searches_leave_no_reference_cycle(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _capped_search_cases():
+    g = Graph.complete(12)
+    steiner, _ = skes_to_steiner_forest(sample_er(7, Fraction(1, 2), 1), 4)
+    h = Hypergraph(10, [(0, 1, 2), (1, 2, 3), (2, 4), (3, 4, 5)])
+    return {
+        "densest_k_subgraph": lambda: densest_k_subgraph(Graph.empty(10), 5),
+        "max_clique": lambda: max_clique(g),
+        "count_cliques": lambda: count_cliques(g, 6),
+        "steiner_k_forest": lambda: steiner_k_forest(steiner),
+        "densest_k_subhypergraph": lambda: densest_k_subhypergraph(h, 5),
+        "check_disperser": lambda: check_disperser(
+            sample_family(10, 12, 2, 3), Fraction(1, 2), 4
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_capped_search_cases()))
+def test_a_capped_search_leaves_no_reference_cycle(monkeypatch, name):
+    # the cap stops each search inside its recursion, which must still free
+    # its self-referencing closure on the way out
+    search = _capped_search_cases()[name]
+    monkeypatch.setenv("CLIQUELAB_CAP", "10" if name != "check_disperser" else "70")
+    gc.disable()
+    try:
+        gc.collect()
+        with pytest.raises(CapExceeded):
+            search()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
