@@ -1,27 +1,34 @@
-"""Serialization: plain text for graphs and families, JSON for instances.
+"""Serialization: plain text for graphs, hypergraphs and families, JSON for
+instances.
 
-Text formats use one header line carrying a type tag and counts, then one
-line per item.  Full-line `#` comments are allowed anywhere and are ignored
-on load, except that `# key: value` lines are surfaced through parse_meta
-(used for planted-clique sidecars and family source sizes).  Steiner-forest
-and reachability instances travel as JSON.
+The three text formats share one line grammar.  A line ends in LF or CRLF,
+and the last line may lack its end; a blank is a space or a tab.  A line of
+blanks is skipped, and so is a comment line, one whose first non-blank
+character is `#`, whatever it holds up to its LF; parse_meta surfaces its
+`# key: value` comment lines (planted-clique sidecars, a family's source
+size).  Every other line is a data line of tokens between blanks, so
+`0 1 # x` is refused.  A data line may hold no other whitespace: a vertical
+tab, a form feed, bytes 0x1C-0x1F, NEL, U+2028, U+2029, a CR that does not
+end the line and non-ASCII whitespace are refused by a message that names
+the line by its number.
 
-Every integer a text format holds (header counts, items, the `source-n`
-meta value) is ASCII decimal: an optional sign, then the digits 0-9.
+The first data line is the header, a tag and two counts: `g <n> <m>` for a
+graph, `h <n> <m>` for a hypergraph, `f <N> <ell>` for a family.  The item
+lines follow, as many as the header promises: m edges `u v` with u < v, m
+hyperedges of one or more vertices, or N sets of at most ell source
+vertices.  Every integer (counts, items, the `source-n` meta value) is ASCII
+decimal: an optional sign, then the digits 0-9.  load_graph reads a graph's
+UTF-8 bytes in one numpy pass by this grammar, and reads the text line by
+line only to name what it refuses.  dump_graph writes the edges in sorted
+order, one `u v` line each, after the header and any `# key: value` lines.
 
-A graph is `g <n> <m>` followed by m edge lines, each two integers u < v.
-load_graph reads the text's UTF-8 bytes in one numpy pass by this grammar:
-a line ends in LF or CRLF, and the last line may lack its end; a blank is
-a space or a tab.  A line of blanks is skipped, and so is a comment line,
-one whose first non-blank byte is `#`, whatever it holds up to its LF.
-Every other line is a data line of tokens between blanks, so `0 1 # x` is
-refused.  A data line may hold no other whitespace: a vertical tab, a form
-feed, bytes 0x1C-0x1F, NEL, U+2028, U+2029, a CR that does not end the
-line and non-ASCII whitespace are refused, and where str.splitlines or
-str.strip would take one for a line end or a blank, the message names the
-line by its number.  Only to name a refused line does load_graph read
-the text line by line.  dump_graph writes the edges in sorted order, one
-`u v` line each, after the header and any `# key: value` lines.
+Steiner k-forest and DSN instances are JSON objects.  `type` is the string
+"steiner-k-forest" or "dsn"; `n` and `k` are integers; `edges` and
+`demands` are lists of [u, v] integer pairs; `weights` is a list of weight
+strings, one per edge; `arcs` is a list of [u, v, weight] arrays.  A JSON
+true, false or number with a fraction or exponent is not an integer.  A
+weight is the string format_weight writes: ASCII `[+-]D`, `[+-]D.D` or
+`[+-]D/D`, where D is one or more digits 0-9 and the denominator is not 0.
 """
 
 from __future__ import annotations
@@ -57,17 +64,66 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+_BLANKS = re.compile(r"[ \t]+")
+# tag: (the format, its header, its items, which count is the number of item lines)
+_TABLES = {
+    "g": ("graph", "g <n> <m>", "edges", 1),
+    "h": ("hypergraph", "h <n> <m>", "hyperedges", 1),
+    "f": ("family", "f <N> <ell>", "sets", 0),
+}
+
+
+def _decimal(token: str) -> int:
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"invalid literal {token!r}: not an ASCII decimal integer")
+    return int(token)
+
+
+def _lines(text: str) -> tuple[list[str], list[str]]:
+    """The data lines and the comment lines of a text, each without the
+    blanks at its ends, by the grammar of this module's docstring."""
+    data, comments = [], []
+    for number, line in enumerate(text.split("\n"), 1):
+        item = line.removesuffix("\r").strip(" \t")
+        if item[:1] == "#":
+            comments.append(item)
+        elif item:
+            odd = [c for c in item if c.isspace() and c not in " \t"]
+            if odd:
+                raise ValueError(
+                    f"line {number} holds {odd[0]!r}, neither a blank (space or tab) "
+                    f"nor a line end (LF or CRLF): {line!r}"
+                )
+            data.append(item)
+    return data, comments
+
+
+def _table(text: str, tag: str) -> tuple[int, int, list[str]]:
+    """The two counts of a text format's header, and its item lines."""
+    name, form, items, which = _TABLES[tag]
+    lines = _lines(text)[0]
+    if not lines:
+        raise ValueError("empty input")
+    header = _BLANKS.split(lines[0])
+    if header[0] != tag:
+        raise ValueError(f"expected header tag {tag!r}, got {lines[0]!r}")
+    if len(header) != 3:
+        raise ValueError(f"{name} header must be {form!r}, got {header}")
+    counts, body = (_decimal(header[1]), _decimal(header[2])), lines[1:]
+    if len(body) != counts[which]:
+        raise ValueError(f"header promises {counts[which]} {items}, found {len(body)} lines")
+    return *counts, body
+
+
 def parse_meta(text: str) -> dict[str, str]:
     """Collect `# key: value` comment lines, first occurrence wins."""
     meta: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.startswith("#"):
-            continue
-        body = line[1:].strip()
-        key, sep, value = body.partition(":")
-        if sep and key.strip() and key.strip() not in meta:
-            meta[key.strip()] = value.strip()
+    for line in _lines(text)[1]:
+        key, sep, value = line[1:].partition(":")
+        key = key.strip(" \t")
+        if sep and key and key not in meta:
+            meta[key] = value.strip(" \t")
     return meta
 
 
@@ -78,17 +134,6 @@ def _meta_lines(meta: Mapping[str, str] | None) -> list[str]:
         if ":" in key or "\n" in key or "\n" in meta[key]:
             raise ValueError(f"meta key/value may not contain ':' or newlines: {key!r}")
     return [f"# {key}: {value}" for key, value in meta.items()]
-
-
-def _data_lines(text: str, expected_tag: str) -> tuple[list[str], list[str]]:
-    """Split into (header fields, item lines), dropping comments and blanks."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
-    if not lines:
-        raise ValueError("empty input")
-    header = lines[0].split()
-    if not header or header[0] != expected_tag:
-        raise ValueError(f"expected header tag {expected_tag!r}, got {lines[0]!r}")
-    return header, lines[1:]
 
 
 # -- graphs --------------------------------------------------------------------
@@ -112,21 +157,11 @@ def dump_graph(g: Graph, meta: Mapping[str, str] | None = None) -> str:
 
 # Edge lines parsed between two polls of the budget's deadline.
 _POLL_LINES = 65536
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
-_BLANKS = re.compile(r"[ \t]+")
-# Where str.splitlines ends a line, besides LF and CRLF.
-_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # The low nibbles of the last c bytes of a little-endian word, for c = 0..8: an
 # edge token is read as the 8 bytes that end it, and its c digits are the last c.
 _DIGIT_NIBBLES = np.array(
     [0x0F0F0F0F0F0F0F0F & ~((1 << 8 * (8 - c)) - 1) for c in range(9)], dtype=np.uint64
 )
-
-
-def _decimal(token: str) -> int:
-    if not _DECIMAL.fullmatch(token):
-        raise ValueError(f"invalid literal {token!r}: not an ASCII decimal integer")
-    return int(token)
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
@@ -160,41 +195,11 @@ def _blank_comments(buf: bytearray, b: np.ndarray) -> bool:
 def _refuse_graph(text: str) -> NoReturn:
     """Raise the ValueError that names what load_graph's byte pass refused.
 
-    Reads the text line by line.  It first looks for a data line that holds
-    whitespace other than blanks: a line break of str.splitlines anywhere,
-    other whitespace at either end, or any in the header.  Then it makes the
-    checks in load_graph's order: header, vertex cap, line count, tokens,
-    u < v, range.
+    Reads the text by _lines and _table, then checks the vertex cap, the
+    tokens, u < v and the range, each over all lines, in this order.
     """
-    lines: list[str] = []
-    for number, line in enumerate(text.split("\n"), 1):
-        item = line.removesuffix("\r").strip(" \t")
-        if not item or item[0] == "#":
-            continue
-        # where str.splitlines broke the line, or whitespace str.strip took off its
-        # ends, or str.split took for a blank in the header
-        rims = item if not lines else item[0] + item[-1]
-        odd = [c for c in item if c in _BREAKS] or [
-            c for c in rims if c.isspace() and c not in " \t"
-        ]
-        if odd:
-            raise ValueError(
-                f"line {number} holds {odd[0]!r}, neither a blank (space or tab) "
-                f"nor a line end (LF or CRLF): {line!r}"
-            )
-        lines.append(item)
-    if not lines:
-        raise ValueError("empty input")
-    header = lines[0].split()
-    if header[0] != "g":
-        raise ValueError(f"expected header tag 'g', got {lines[0]!r}")
-    if len(header) != 3:
-        raise ValueError(f"graph header must be 'g <n> <m>', got {header}")
-    n, m = _decimal(header[1]), _decimal(header[2])
+    n, _, body = _table(text, "g")
     check_vertices(n)
-    body = lines[1:]
-    if len(body) != m:
-        raise ValueError(f"header promises {m} edges, found {len(body)} lines")
     pairs = []
     for line in body:
         tokens = _BLANKS.split(line)
@@ -311,7 +316,17 @@ def format_weight(w: Fraction) -> str:
     return f"{w.numerator}/{w.denominator}"
 
 
+_WEIGHT = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]*[1-9][0-9]*)?")
+
+
 def parse_weight(s: str) -> Fraction:
+    """The exact value of a weight as format_weight writes it; a ValueError
+    refuses any other string."""
+    if not _WEIGHT.fullmatch(s):
+        raise ValueError(
+            f"invalid weight {s!r}: not [+-]D, [+-]D.D or [+-]D/D of ASCII digits D "
+            "with a non-zero denominator"
+        )
     return Fraction(s)
 
 
@@ -326,13 +341,8 @@ def dump_hypergraph(h: Hypergraph, meta: Mapping[str, str] | None = None) -> str
 
 
 def load_hypergraph(text: str) -> Hypergraph:
-    header, body = _data_lines(text, "h")
-    if len(header) != 3:
-        raise ValueError(f"hypergraph header must be 'h <n> <m>', got {header}")
-    n, m = _decimal(header[1]), _decimal(header[2])
-    if len(body) != m:
-        raise ValueError(f"header promises {m} hyperedges, found {len(body)} lines")
-    h = Hypergraph(n, (tuple(map(_decimal, ln.split())) for ln in body))
+    n, m, body = _table(text, "h")
+    h = Hypergraph(n, (tuple(map(_decimal, _BLANKS.split(line))) for line in body))
     if h.m != m:
         raise ValueError("duplicate hyperedge lines")
     return h
@@ -361,13 +371,8 @@ def dump_family(fam: SubsetFamily, meta: Mapping[str, str] | None = None) -> str
 
 
 def load_family(text: str, source_n: int | None = None) -> SubsetFamily:
-    header, body = _data_lines(text, "f")
-    if len(header) != 3:
-        raise ValueError(f"family header must be 'f <N> <ell>', got {header}")
-    N, ell = _decimal(header[1]), _decimal(header[2])
-    if len(body) != N:
-        raise ValueError(f"header promises {N} sets, found {len(body)} lines")
-    sets = tuple(tuple(map(_decimal, ln.split())) for ln in body)
+    N, ell, body = _table(text, "f")
+    sets = tuple(tuple(map(_decimal, _BLANKS.split(line))) for line in body)
     if source_n is None:
         meta = parse_meta(text)
         if "source-n" in meta:
@@ -378,6 +383,47 @@ def load_family(text: str, source_n: int | None = None) -> SubsetFamily:
 
 
 # -- JSON instance formats --------------------------------------------------------
+
+
+# JSON field: (its shape, the shape in words).  A shape is int or str, [shape]
+# for a list of shapes, or a tuple of shapes for an array of that length.
+_FIELDS = {
+    "n": (int, "an integer"),
+    "k": (int, "an integer"),
+    "edges": ([(int, int)], "a list of [u, v] integer pairs"),
+    "weights": ([str], "a list of weight strings"),
+    "demands": ([(int, int)], "a list of [s, t] integer pairs"),
+    "arcs": ([(int, int, str)], "a list of [u, v, weight] arrays, weight a string"),
+}
+
+
+def _fits(value: Any, shape: Any) -> bool:
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(x, shape[0]) for x in value)
+    if isinstance(shape, tuple):
+        return (
+            isinstance(value, list)
+            and len(value) == len(shape)
+            and all(map(_fits, value, shape))
+        )
+    return type(value) is shape  # so that neither a bool nor a float is an int
+
+
+def _fields(text: str, kind: str, *names: str) -> list[Any]:
+    """The named fields of a JSON instance of type `kind`; a ValueError names
+    a missing or mistyped field."""
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    if d.get("type") != kind:
+        raise ValueError(f"expected type {kind}, got {d.get('type')!r}")
+    for name in names:
+        shape, what = _FIELDS[name]
+        if name not in d:
+            raise ValueError(f"missing field {name!r}")
+        if not _fits(d[name], shape):
+            raise ValueError(f"field {name!r} must be {what}")
+    return [d[name] for name in names]
 
 
 def dump_steiner(inst: SteinerForestInstance, meta: Mapping[str, Any] | None = None) -> str:
@@ -395,18 +441,19 @@ def dump_steiner(inst: SteinerForestInstance, meta: Mapping[str, Any] | None = N
 
 
 def load_steiner(text: str) -> SteinerForestInstance:
-    d = json.loads(text)
-    if d.get("type") != "steiner-k-forest":
-        raise ValueError(f"expected type steiner-k-forest, got {d.get('type')!r}")
-    # weights align with the graph's sorted edges: orient u < v, sort, keep pairs
-    pairs = sorted(
-        ((min(u, v), max(u, v)), parse_weight(w))
-        for (u, v), w in zip(d["edges"], d["weights"], strict=True)
+    n, edges, weights, demands, k = _fields(
+        text, "steiner-k-forest", "n", "edges", "weights", "demands", "k"
     )
-    g = Graph(d["n"], [e for e, _ in pairs])
+    if len(weights) != len(edges):
+        raise ValueError("field 'weights' must hold one weight per edge")
+    # weights align with the graph's sorted edges: orient u < v, sort, keep pairs
+    pairs = sorted(((min(e), max(e)), parse_weight(w)) for e, w in zip(edges, weights))
+    for (e, _), (f, _) in zip(pairs, pairs[1:]):
+        if e == f:
+            raise ValueError(f"edge {e} listed twice")
+    g = Graph(n, [e for e, _ in pairs])
     weights = tuple(w for _, w in pairs)
-    demands = tuple(tuple(p) for p in d["demands"])
-    return SteinerForestInstance(graph=g, weights=weights, demands=demands, k=d["k"])
+    return SteinerForestInstance(graph=g, weights=weights, demands=tuple(demands), k=k)
 
 
 def dump_dsn(inst: DsnInstance, meta: Mapping[str, Any] | None = None) -> str:
@@ -422,12 +469,8 @@ def dump_dsn(inst: DsnInstance, meta: Mapping[str, Any] | None = None) -> str:
 
 
 def load_dsn(text: str) -> DsnInstance:
-    d = json.loads(text)
-    if d.get("type") != "dsn":
-        raise ValueError(f"expected type dsn, got {d.get('type')!r}")
-    arcs = [(a[0], a[1], parse_weight(a[2])) for a in d["arcs"]]
+    n, arcs, demands = _fields(text, "dsn", "n", "arcs", "demands")
+    arcs = [(u, v, parse_weight(w)) for u, v, w in arcs]
     if len({(u, v) for u, v, _ in arcs}) != len(arcs):
         raise ValueError("duplicate arc entries")
-    dg = WeightedDigraph(d["n"], arcs)
-    demands = tuple(tuple(p) for p in d["demands"])
-    return DsnInstance(digraph=dg, demands=demands)
+    return DsnInstance(digraph=WeightedDigraph(n, arcs), demands=tuple(demands))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from cliquelab.graph import Graph
@@ -11,3 +12,54 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     """Plain stdlib sampler, independent of the package's own ensembles."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+STEINER = {
+    "type": "steiner-k-forest", "n": 3, "edges": [[0, 1], [1, 2]],
+    "weights": ["1", "2"], "demands": [[0, 2]], "k": 1,
+}
+DSN = {"type": "dsn", "n": 3, "arcs": [[0, 1, "1"], [1, 2, "2"]], "demands": [[0, 2]]}
+
+
+def _with(base: dict, **fields) -> str:
+    """base as JSON text, with fields replaced; a field set to ... is dropped."""
+    fields = {**base, **fields}
+    return json.dumps({key: value for key, value in fields.items() if value is not ...})
+
+
+# (problem, instance text, the start of the refusal's message), each id'd
+BAD_INSTANCES = {
+    "not-an-object": ("steiner-k-forest", "[1, 2]", "expected a JSON object, got list"),
+    "missing-k": ("steiner-k-forest", _with(STEINER, k=...), "missing field 'k'"),
+    "missing-arcs": ("dsn", _with(DSN, arcs=...), "missing field 'arcs'"),
+    "float-k": ("steiner-k-forest", _with(STEINER, k=1.0), "field 'k' must be an integer"),
+    "bool-n": ("steiner-k-forest", _with(STEINER, n=True), "field 'n' must be an integer"),
+    "dsn-bool-n": ("dsn", _with(DSN, n=True), "field 'n' must be an integer"),
+    "float-endpoint": (
+        "steiner-k-forest", _with(STEINER, edges=[[0, 1], [1, 2.0]]), "field 'edges' must be"
+    ),
+    "float-arc-end": ("dsn", _with(DSN, arcs=[[0, 1.0, "1"]]), "field 'arcs' must be"),
+    "bool-demand-end": (
+        "steiner-k-forest", _with(STEINER, demands=[[0, True]]), "field 'demands' must be"
+    ),
+    "float-demand-end": ("dsn", _with(DSN, demands=[[0, 2.0]]), "field 'demands' must be"),
+    "int-weight": (
+        "steiner-k-forest", _with(STEINER, weights=[1, "2"]), "field 'weights' must be"
+    ),
+    "float-arc-weight": (
+        "dsn", _with(DSN, arcs=[[0, 1, 0.1], [1, 2, "0.2"]]), "field 'arcs' must be"
+    ),
+    "edge-twice": (
+        "steiner-k-forest", _with(STEINER, edges=[[0, 1], [0, 1]]), "edge (0, 1) listed twice"
+    ),
+    "edge-twice-reversed": (
+        "steiner-k-forest", _with(STEINER, edges=[[1, 2], [2, 1]]), "edge (1, 2) listed twice"
+    ),
+    **{
+        f"weight-{name}": ("dsn", _with(DSN, arcs=[[0, 1, w]]), f"invalid weight {w!r}")
+        for name, w in [
+            ("underscore", "1_0"), ("arabic-indic", "\u0661"), ("blanks", " 1/2 "),
+            ("exponent", "1e3"), ("over-zero", "1/0"),
+        ]
+    },
+}

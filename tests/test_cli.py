@@ -9,12 +9,12 @@ import time
 import pytest
 
 from cliquelab import verify as verify_mod
-from cliquelab.cli import build_parser, main
+from cliquelab.cli import EXIT_USAGE, build_parser, main
 from cliquelab.formats import dump_graph, load_family, load_graph, load_steiner
 from cliquelab.graph import Graph
 from cliquelab.verify import INVARIANT_FAIL, STATISTICAL_FAIL, TrialReport
 
-from _util import random_graph
+from _util import BAD_INSTANCES, random_graph
 
 
 def _write_graph(path, g: Graph) -> str:
@@ -225,6 +225,17 @@ def test_solve_den_leq_k_beyond_four_is_not_refused_a_priori(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", "den-leq-k", "--in", prod, "--k", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "2"
+
+
+@pytest.mark.parametrize("problem, text, message", BAD_INSTANCES.values(), ids=BAD_INSTANCES)
+def test_solve_refuses_a_bad_instance_field_in_one_line(tmp_path, capsys, problem, text, message):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert main(["solve", problem, "--in", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith(f"error: {message}")
 
 
 # -- reduce ----------------------------------------------------------------------------

@@ -6,9 +6,8 @@ import ast
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cliquelab"
@@ -28,7 +27,6 @@ def _third_party_imports() -> set[str]:
 
 
 def test_declared_dependencies_match_the_imports():
-    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {
         re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _util import random_graph
+from _util import BAD_INSTANCES, DSN, STEINER, random_graph
 from cliquelab.formats import (
     atomic_write_text,
     dump_dsn,
@@ -287,7 +287,7 @@ def _decorate(text: str, rng: random.Random) -> str:
         out.extend(rng.choice(_FILLER_LINES) for _ in range(rng.choice((0, 0, 0, 1, 2))))
         if not line.startswith("#"):
             tag, *tokens = line.split(" ")
-            if tag != "g":
+            if tag not in ("g", "h", "f"):
                 tag = _spell(tag, rng)
             tokens = [_spell(token, rng) for token in tokens]
             line = _blanks(rng, 0) + _blanks(rng, 1).join([tag, *tokens]) + _blanks(rng, 0)
@@ -404,6 +404,122 @@ def test_load_graph_reads_the_products_it_dumps():
         assert load_graph(text) == product
         crlf = _decorate(text, random.Random(1))
         assert load_graph(crlf) == product
+
+
+# -- the former loaders of families and hypergraphs, which split lines with
+# str.splitlines and str.strip --
+
+
+def _former_parse_meta(text: str) -> dict[str, str]:
+    meta: dict[str, str] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line.startswith("#"):
+            continue
+        body = line[1:].strip()
+        key, sep, value = body.partition(":")
+        if sep and key.strip() and key.strip() not in meta:
+            meta[key.strip()] = value.strip()
+    return meta
+
+
+def _former_load_hypergraph(text: str) -> Hypergraph:
+    header, body = _former_data_lines(text, "h")
+    if len(header) != 3:
+        raise ValueError(f"hypergraph header must be 'h <n> <m>', got {header}")
+    n, m = _former_decimal(header[1]), _former_decimal(header[2])
+    if len(body) != m:
+        raise ValueError(f"header promises {m} hyperedges, found {len(body)} lines")
+    h = Hypergraph(n, (tuple(map(_former_decimal, ln.split())) for ln in body))
+    if h.m != m:
+        raise ValueError("duplicate hyperedge lines")
+    return h
+
+
+def _former_load_family(text: str, source_n: int | None = None) -> SubsetFamily:
+    header, body = _former_data_lines(text, "f")
+    if len(header) != 3:
+        raise ValueError(f"family header must be 'f <N> <ell>', got {header}")
+    N, ell = _former_decimal(header[1]), _former_decimal(header[2])
+    if len(body) != N:
+        raise ValueError(f"header promises {N} sets, found {len(body)} lines")
+    sets = tuple(tuple(map(_former_decimal, ln.split())) for ln in body)
+    if source_n is None:
+        meta = _former_parse_meta(text)
+        if "source-n" in meta:
+            source_n = _former_decimal(meta["source-n"])
+        else:
+            source_n = max((s[-1] for s in sets if s), default=0) + 1
+    return SubsetFamily(source_n=source_n, ell=ell, sets=sets)
+
+
+# kind: (dump, load, the former load)
+_TEXT_FORMATS = {
+    "family": (dump_family, load_family, _former_load_family),
+    "hypergraph": (dump_hypergraph, load_hypergraph, _former_load_hypergraph),
+}
+
+
+def _random_instance(kind: str, n: int, seed: int) -> SubsetFamily | Hypergraph:
+    """A family of up to 40 sets on n + 1 source vertices, or a hypergraph of up
+    to 3n hyperedges of 1 to 4 vertices on n vertices."""
+    rng = random.Random(seed)
+    if kind == "family":
+        return sample_family(n + 1, rng.randint(1, 40), rng.randint(1, 4), seed)
+    sizes = [rng.randint(1, min(n, 4)) for _ in range(rng.randint(0, 3 * n))]
+    return Hypergraph(n, [rng.sample(range(n), size) for size in sizes])
+
+
+@pytest.mark.parametrize("kind", _TEXT_FORMATS)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 10**6), st.booleans())
+def test_load_reads_decorated_text_as_the_former_loader(kind, n, seed, meta):
+    dump, load, former = _TEXT_FORMATS[kind]
+    item = _random_instance(kind, n, seed)
+    text = _decorate(dump(item, {"note": "x"} if meta else None), random.Random(seed))
+    assert load(text) == former(text) == item
+
+
+@pytest.mark.parametrize("kind", _TEXT_FORMATS)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 40), st.integers(0, 10**6), st.integers(0, 10**6),
+    st.sampled_from(("replace", "insert", "delete")), st.sampled_from(_CORRUPT_CHARS),
+)
+def test_load_refuses_a_corrupt_line_as_the_former_loader(kind, n, seed, where, how, char):
+    dump, load, former = _TEXT_FORMATS[kind]
+    lines = dump(_random_instance(kind, n, seed), {"note": "x"}).split("\n")
+    data = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    i = data[where % len(data)]
+    at = where // len(data) % (len(lines[i]) + (how == "insert"))
+    tail = lines[i][at + (how != "insert") :]
+    lines[i] = lines[i][:at] + ("" if how == "delete" else char) + tail
+    text = "\n".join(lines)
+    assert _outcome(load, text) == _outcome(former, text)
+
+
+@pytest.mark.parametrize(
+    "load, former, text, read, message",
+    [
+        (load_family, _former_load_family, "f 2 1\n0\x0b1\n",
+         SubsetFamily(2, 1, [(0,), (1,)]), "line 2 holds '\\x0b'"),
+        (load_hypergraph, _former_load_hypergraph, "h 3 1\r0 1\n",
+         Hypergraph(3, [(0, 1)]), "line 1 holds '\\r'"),
+    ],
+    ids=["family-VT", "hypergraph-lone-CR-header"],
+)
+def test_family_and_hypergraph_refuse_a_line_break_str_splitlines_took(
+    load, former, text, read, message
+):
+    assert former(text) == read
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load(text)
+
+
+def test_parse_meta_reads_a_comment_to_its_lf():
+    text = "g 3 0\n# note\x85# clique: 0 1 2\n"
+    assert _former_parse_meta(text) == {"clique": "0 1 2"}
+    assert parse_meta(text) == {"note\x85# clique": "0 1 2"}
 
 
 def test_weight_formatting_exact():
@@ -558,6 +674,32 @@ def test_load_dsn_rejects_duplicate_arcs():
     text = '{"type": "dsn", "n": 2, "arcs": [[0, 1, "1"], [0, 1, "1"]], "demands": [[0, 1]]}'
     with pytest.raises(ValueError, match="duplicate arc"):
         load_dsn(text)
+
+
+def test_the_json_refusal_cases_start_from_sound_instances():
+    assert load_steiner(json.dumps(STEINER)).weights == (1, 2)
+    assert load_dsn(json.dumps(DSN)).digraph.arc_count == 2
+
+
+@pytest.mark.parametrize("problem, text, message", BAD_INSTANCES.values(), ids=BAD_INSTANCES)
+def test_json_loaders_refuse_a_bad_field_by_name(problem, text, message):
+    load = load_steiner if problem == "steiner-k-forest" else load_dsn
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        load(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "\u0661", " 1/2 ", "1e3", "1/0", "-1/00", "1.", ".5", "0x1"]
+)
+def test_parse_weight_reads_only_what_format_weight_writes(text):
+    with pytest.raises(ValueError, match=re.escape(f"invalid weight {text!r}")):
+        parse_weight(text)
+
+
+def test_parse_weight_reads_signs_and_leading_zeros():
+    for w in (Fraction(-1, 2), Fraction(-7, 3), Fraction(5), Fraction(-40)):
+        assert parse_weight(format_weight(w)) == w
+    assert parse_weight("+0.50") == parse_weight("02/4") == Fraction(1, 2)
 
 
 def test_atomic_write(tmp_path):
