@@ -379,6 +379,7 @@ def load_family(text: str, source_n: int | None = None) -> SubsetFamily:
             source_n = _decimal(meta["source-n"])
         else:
             source_n = max((s[-1] for s in sets if s), default=0) + 1
+    check_vertices(source_n)  # before the family's arrays are built
     return SubsetFamily(source_n=source_n, ell=ell, sets=sets)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .caps import budget, check_budget
 from .errors import BudgetExceeded, InfeasibleError, PatternSearchTimeout
-from .graph import Graph, Hypergraph, WeightedDigraph
+from .graph import Graph, Hypergraph, WeightedDigraph, _bits
 
 
 # -- cliques -------------------------------------------------------------------
@@ -39,7 +39,15 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
     first, and keeps only the class count and a mask of each class's top
     vertex; a clique meets a class at most once, so the classes left bound it.
     A class is empty once its top vertex is excluded, which is exact because
-    candidates are excluded in ascending order.
+    candidates are excluded in ascending order.  Colouring stops once the
+    classes so far plus the uncoloured candidates, each of which opens at most
+    one more class, cannot lift the clique above the bar.
+
+    If every class is a single vertex the candidates are pairwise adjacent,
+    and the include-first dive would add them one per node, lowest first,
+    until the clique passes the bar (with first set) or holds them all.  That
+    dive is taken whole and charged the take - 1 nodes it would have
+    expanded, so answers and node counts are those of the dive.
     """
     full = (1 << len(rows)) - 1
     keep = [full ^ (row | 1 << v) for v, row in enumerate(rows)]  # non-neighbours
@@ -62,8 +70,14 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
                 avail &= keep[low.bit_length() - 1]
             tops |= low  # the last vertex taken is the class's top
             colors += 1
-        if depth + colors <= bar:
-            return False
+            if depth + colors + remaining.bit_count() <= bar:
+                return False
+        if tops == candidates:  # all classes single: a clique, taken whole
+            take = bar + 1 - depth if first else colors
+            check_budget(take - 1)
+            best = clique + _bits(candidates)[:take]
+            bar = len(best)
+            return first
         rest = candidates
         while rest:
             low = rest & -rest

@@ -189,10 +189,11 @@ def check_edge_rule(g: Graph, fam: SubsetFamily, product: Graph) -> EdgeRuleRepo
     """Re-derive every product edge decision by an independent formulation.
 
     For each pair, counts ordered (u, v) with u, v in the union and v outside
-    u's closed neighborhood: the pairs inside set i, those inside set j, and
-    those from set i to set j.  The union induces a clique iff the count is
-    zero.  The count is assembled from dense float32 matrix products, sharing
-    no code with product_graph's row build.
+    u's closed neighborhood: the pairs inside set i (R_i), those inside set j
+    (R_j), and those from set i to set j.  The union induces a clique iff the
+    count is zero.  The count is assembled from dense float32 matrix products,
+    sharing no code with product_graph's row build; a set with R_i > 0 is no
+    clique, so its row is expected empty and skips the product.
     """
     if fam.source_n != g.n or product.n != fam.N:
         raise ValueError("mismatched source graph, family, or product")
@@ -209,13 +210,13 @@ def check_edge_rule(g: Graph, fam: SubsetFamily, product: Graph) -> EdgeRuleRepo
     chunk = max(1, (1 << 22) // max(N, 1))
     for lo in range(0, N, chunk):
         hi = min(lo + chunk, N)
-        # every term is a sum of non-negative counts, so S == 0 is exact in float32
-        S = D[lo:hi] @ B.T
-        S += R[lo:hi, None]
+        # every term is a sum of non-negative counts, so == 0 is exact in float32
+        cliques = np.flatnonzero(R[lo:hi] == 0.0)
+        S = D[lo + cliques] @ B.T
         S += R[None, :]
-        expected = S == 0.0
-        idx = np.arange(lo, hi)
-        expected[np.arange(hi - lo), idx] = False
+        expected = np.zeros((hi - lo, N), dtype=bool)
+        expected[cliques] = S == 0.0
+        expected[np.arange(hi - lo), np.arange(lo, hi)] = False
         diff = expected != got_full[lo:hi]
         if diff.any():
             for a, b in zip(*np.nonzero(diff)):

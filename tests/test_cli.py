@@ -227,6 +227,17 @@ def test_solve_den_leq_k_beyond_four_is_not_refused_a_priori(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == "2"
 
 
+def test_solve_answers_on_a_planted_clique_of_1100(tmp_path, capsys):
+    # an include-first dive one node per clique vertex would recurse too deep
+    path = str(tmp_path / "g.txt")
+    assert main(["gen", "planted", "--n", "1200", "--kappa", "1100", "--seed", "0", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["solve", "max-clique", "--in", path]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 1100
+    assert main(["solve", "den-leq-k", "--in", path, "--k", "1100"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "1099/2"
+
+
 @pytest.mark.parametrize("problem, text, message", BAD_INSTANCES.values(), ids=BAD_INSTANCES)
 def test_solve_refuses_a_bad_instance_field_in_one_line(tmp_path, capsys, problem, text, message):
     path = tmp_path / "inst.json"

@@ -29,7 +29,7 @@ from cliquelab.formats import (
     parse_meta,
     parse_weight,
 )
-from cliquelab.caps import budget, check_vertices
+from cliquelab.caps import VERTEX_CAP, budget, check_vertices
 from cliquelab.ensembles import sample_er, sample_planted
 from cliquelab.errors import BudgetExceeded, CapExceeded, InfeasibleError
 from cliquelab.graph import Graph, Hypergraph, WeightedDigraph
@@ -590,6 +590,21 @@ def test_dump_family_matches_the_per_set_writer_where_digit_widths_change(source
 def test_family_infers_source_n_without_meta():
     text = "f 2 2\n0 3\n1 2\n"
     assert load_family(text).source_n == 4
+
+
+@pytest.mark.parametrize(
+    "text, source_n",
+    [
+        ("f 1 1\n99999999999999999999\n", None),
+        ("f 1 1\n# source-n: 100000000\n0\n", None),
+        ("f 1 1\n# source-n: 99999999999999999999\n0\n", None),
+        ("f 1 1\n0\n", VERTEX_CAP + 1),
+    ],
+    ids=["inferred", "meta", "meta-beyond-int64", "passed-in"],
+)
+def test_load_family_refuses_a_source_beyond_the_vertex_cap(text, source_n):
+    with pytest.raises(CapExceeded, match=f"exceeds the vertex cap {VERTEX_CAP}"):
+        load_family(text, source_n)
 
 
 @pytest.mark.parametrize(

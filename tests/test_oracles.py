@@ -199,31 +199,63 @@ def _clique_above_reference(
     return best, nodes
 
 
-@settings(max_examples=200, deadline=None)
+def _clique_rich_graph(kind: str, n: int, p: float, rng: random.Random) -> Graph:
+    """A G(n, p) sample, the same with a clique planted on a random vertex
+    subset, or disjoint cliques on random blocks of the vertices."""
+    if kind == "random":
+        return random_graph(n, p, rng)
+    if kind == "planted":
+        g = random_graph(n, p, rng)
+        members = sorted(rng.sample(range(n), rng.randint(0, n)))
+        return Graph(n, set(g.edges()) | set(itertools.combinations(members, 2)))
+    block = [rng.randrange(max(1, n // 4)) for _ in range(n)]
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if block[u] == block[v]])
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=0, max_value=40),
-    st.sampled_from([0.2, 0.5, 0.8]),
+    st.sampled_from([0.2, 0.5, 0.8, 0.9, 0.97]),
+    st.sampled_from(["random", "planted", "cliques"]),
     st.booleans(),
-    st.sampled_from([0, 1, 3, 6, 10]),
+    st.one_of(st.sampled_from([0, 1, 3, 6, 10]), st.sampled_from(["ω-2", "ω-1", "ω", "ω+1"])),
     st.booleans(),
     st.integers(min_value=0, max_value=10**6),
 )
 def test_clique_search_expands_the_nodes_of_the_colour_map_search(
-    n, p, first, floor, all_candidates, seed
+    n, p, kind, first, floor, all_candidates, seed
 ):
     rng = random.Random(seed)
-    g = random_graph(n, p, rng)
+    g = _clique_rich_graph(kind, n, p, rng)
     rows = [g.row(u) for u in range(n)]
     candidates = (1 << n) - 1 if all_candidates else rng.getrandbits(n)
+    if isinstance(floor, str):  # near the clique number of the candidates
+        omega = len(_clique_above_reference(rows, candidates, 0, False)[0])
+        floor = max(0, omega + int(floor[1:] or 0))
     nodes = 0
 
-    def count_node() -> None:
+    def count_node(steps: int = 1) -> None:
         nonlocal nodes
-        nodes += 1
+        nodes += steps
 
     with mock.patch.object(oracles, "check_budget", count_node):
         clique = oracles._clique_above(rows, candidates, floor, first)
     assert (clique, nodes) == _clique_above_reference(rows, candidates, floor, first)
+
+
+@pytest.mark.parametrize("n", [1200, 4096])
+def test_clique_search_takes_a_complete_graph_whole(n):
+    # one recursive step per vertex would pass the interpreter's recursion limit
+    g = Graph.complete(n)
+    assert max_clique(g) == tuple(range(n))
+    assert den_leq_k(g, n) == Fraction(n - 1, 2)
+
+
+def test_max_clique_on_a_product_with_thousands_of_lifted_vertices():
+    # ell = 1 lifts each member of the planted 40-clique to its copies
+    source = sample_planted(60, Fraction(1, 2), 40, 1).graph
+    product, _ = rgp(source, 4096, 1, 1)
+    assert clique_number(product) == 2771
 
 
 @pytest.mark.parametrize("N", [500, 2000])

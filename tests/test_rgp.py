@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from cliquelab.formats import dump_family, load_family
 from cliquelab.graph import Graph
 from cliquelab.rgp import (
     SIDE_CONDITION_NAMES,
+    EdgeRuleReport,
     RgpParams,
     SubsetFamily,
     check_disperser,
@@ -167,6 +169,60 @@ def test_edge_rule_checker_catches_tampering_in_the_last_chunk():
     assert rep.violation_count == 1
     genuine = prod.has_edge(u, v)
     assert sorted(rep.sample) == [(u, v, genuine, not genuine), (v, u, genuine, not genuine)]
+
+
+def _check_edge_rule_reference(g: Graph, fam: SubsetFamily, product: Graph) -> EdgeRuleReport:
+    """The former checker, which multiplied out the rows of every set."""
+    N, n = fam.N, g.n
+    B = np.zeros((N, n), dtype=np.float32)
+    B[np.arange(N)[:, None], fam.draws] = 1.0
+    closed = g.to_bool_matrix() | np.eye(n, dtype=bool)
+    F = (~closed).astype(np.float32)
+    D = B @ F
+    R = (B * D).sum(axis=1)
+    got_full = product.to_bool_matrix()
+    violations = 0
+    sample: list[tuple[int, int, bool, bool]] = []
+    chunk = max(1, (1 << 22) // max(N, 1))
+    for lo in range(0, N, chunk):
+        hi = min(lo + chunk, N)
+        S = D[lo:hi] @ B.T
+        S += R[lo:hi, None]
+        S += R[None, :]
+        expected = S == 0.0
+        expected[np.arange(hi - lo), np.arange(lo, hi)] = False
+        diff = expected != got_full[lo:hi]
+        for a, b in zip(*np.nonzero(diff)):
+            violations += 1
+            if len(sample) < 50:
+                i, j = int(a) + lo, int(b)
+                sample.append((i, j, bool(expected[a, b]), bool(got_full[i, j])))
+    return EdgeRuleReport(violations == 0, N * (N - 1) // 2, violations // 2, tuple(sample))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=3),
+    st.one_of(st.integers(min_value=1, max_value=60), st.just(2100)),
+    st.integers(min_value=0, max_value=70),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_edge_rule_checker_reports_as_the_checker_of_every_row(n, ell, N, flips, mirror, seed):
+    # flips toggle random ordered pairs of the product's rows, mirrored or
+    # not, so corrupted products may be asymmetric or hold self-loops
+    rng = random.Random(seed)
+    g = random_graph(n, rng.choice([0.3, 0.7, 1.0]), rng)
+    prod, fam = rgp(g, N, ell, seed)
+    rows = list(prod._rows)
+    for _ in range(flips):
+        i, j = rng.randrange(N), rng.randrange(N)
+        rows[i] ^= 1 << j
+        if mirror and i != j:
+            rows[j] ^= 1 << i
+    bad = Graph._from_rows(N, tuple(rows))
+    assert check_edge_rule(g, fam, bad) == _check_edge_rule_reference(g, fam, bad)
 
 
 def test_implied_edges_are_source_edges():
