@@ -6,6 +6,10 @@ go to the lexicographically least sorted vertex (or edge) tuple, realized by
 ascending include-first depth-first search that only accepts strict
 improvements.  Each returned solution is re-validated by an independent
 feasibility check before being handed back.
+
+Every search runs on one driver, _search, which keeps its suspended nodes on a
+stack: no search depth is bound by the interpreter's recursion limit, and the
+driver's one check_budget() poll per node is the search's node count.
 """
 
 from __future__ import annotations
@@ -14,13 +18,37 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
 from .caps import budget, check_budget
 from .errors import BudgetExceeded, InfeasibleError, PatternSearchTimeout
 from .graph import Graph, Hypergraph, WeightedDigraph, _bits
+
+
+def _search(node: Callable[..., Generator[tuple, Any, Any]], *root: Any) -> Any:
+    """Run the depth-first search rooted at node(*root); return the root's value.
+
+    A node is a generator: it yields the argument tuple of each child in turn,
+    is sent back that child's value, and returns its own.  check_budget()
+    counts each node as it starts, the root included.
+    """
+    poll = check_budget
+    poll()
+    stack = [node(*root)]
+    value = None
+    while stack:
+        try:
+            args = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            poll()
+            stack.append(node(*args))
+            value = None
+    return value
 
 
 # -- cliques -------------------------------------------------------------------
@@ -53,10 +81,10 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
     keep = [full ^ (row | 1 << v) for v, row in enumerate(rows)]  # non-neighbours
     best: list[int] = []
     bar = floor  # max(len(best), floor), kept up to date as best changes
+    clique: list[int] = []
 
-    def dfs(clique: list[int], candidates: int) -> bool:
+    def node(candidates: int):
         nonlocal best, bar
-        check_budget()
         depth = len(clique)
         if depth + candidates.bit_count() <= bar:
             return False  # the colour bound is at most the candidate count
@@ -90,7 +118,7 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
                 bar = len(best)
                 if first:
                     return True
-            if nxt and dfs(clique, nxt):
+            if nxt and (yield (nxt,)):
                 return True
             clique.pop()
             # exclude v: the bound drops once its class empties
@@ -100,10 +128,7 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
                 return False
         return False
 
-    try:
-        dfs([], candidates)
-    finally:
-        del dfs  # it refers to itself: free keep now, not at a later gc pass
+    _search(node, candidates)
     return best
 
 
@@ -128,10 +153,11 @@ def _clique_dfs(rows: Sequence[int], n: int, r: int, collect: list | None) -> in
             collect.append(())
         return 1
     count = 0
+    prefix: list[int] = []
 
-    def rec(prefix: list[int], candidates: int, depth: int) -> None:
+    def node(candidates: int):
         nonlocal count
-        check_budget()
+        depth = len(prefix)
         if depth == r:
             count += 1
             if collect is not None:
@@ -146,13 +172,10 @@ def _clique_dfs(rows: Sequence[int], n: int, r: int, collect: list | None) -> in
             if nxt.bit_count() < r - depth - 1:
                 continue
             prefix.append(v)
-            rec(prefix, nxt, depth + 1)
+            yield (nxt,)
             prefix.pop()
 
-    try:
-        rec([], (1 << n) - 1, 0)
-    finally:
-        del rec  # it refers to itself
+    _search(node, (1 << n) - 1)
     return count
 
 
@@ -193,10 +216,10 @@ def _most_edges(
     """
     best_set: tuple[int, ...] | None = None
     best_edges = floor
+    chosen: list[int] = []
 
-    def dfs(chosen: list[int], mask: int, edges: int, start: int) -> bool:
+    def node(mask: int, edges: int, start: int):
         nonlocal best_set, best_edges
-        check_budget()
         if len(chosen) == size:
             if edges > best_edges:
                 best_edges = edges
@@ -204,35 +227,21 @@ def _most_edges(
                 return first
             return False
         r = size - len(chosen)
-        pool = list(range(start, n))
-        if len(pool) < r:
-            return False
-        gains = sorted(((rows[v] & mask).bit_count() for v in pool), reverse=True)
-        bound = edges + sum(gains[:r]) + r * (r - 1) // 2
-        if bound <= best_edges:
-            return False
-        for v in pool:
-            add = (rows[v] & mask).bit_count()
+        for v in range(start, n):
+            # bound the branches that take the r vertices still owed from v
+            # on; it can only drop as each v is excluded in turn
+            if n - v < r:
+                return False
+            gains = sorted(((rows[w] & mask).bit_count() for w in range(v, n)), reverse=True)
+            if edges + sum(gains[:r]) + r * (r - 1) // 2 <= best_edges:
+                return False
             chosen.append(v)
-            if dfs(chosen, mask | (1 << v), edges + add, v + 1):
+            if (yield mask | (1 << v), edges + (rows[v] & mask).bit_count(), v + 1):
                 return True
             chosen.pop()
-            # after excluding v the bound can only drop; recompute lazily
-            r2 = size - len(chosen)
-            if n - (v + 1) < r2:
-                return False
-            gains = sorted(
-                ((rows[w] & mask).bit_count() for w in range(v + 1, n)),
-                reverse=True,
-            )
-            if edges + sum(gains[:r2]) + r2 * (r2 - 1) // 2 <= best_edges:
-                return False
         return False
 
-    try:
-        dfs([], 0, 0, 0)
-    finally:
-        del dfs  # it refers to itself
+    _search(node, 0, 0, 0)
     return None if best_set is None else (best_set, best_edges)
 
 
@@ -330,32 +339,35 @@ def is_biclique(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
 
 
 def _biclique_sides(
-    rows: Sequence[int], t: int, chosen: tuple[int, ...], common: int, start: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield, in lex order, each t-set that extends chosen (whose common
-    neighborhood is the bitmask common) by vertices from start on and has at
-    least t common neighbors, together with the bitmask of them."""
-    check_budget()
-    if len(chosen) == t:
-        yield chosen, common
-        return
+    rows: Sequence[int], t: int, visit: Callable[[tuple[int, ...], int], Any]
+) -> Any:
+    """Call visit(side, common) on each t-set side of range(len(rows)) that
+    has at least t common neighbors, in lex order, with the bitmask common of
+    them.  Stop at the first true value visit returns, and return it."""
     n = len(rows)
-    for v in range(start, n):
-        if n - v < t - len(chosen):
-            return
-        nxt = common & rows[v]
-        # the common set only shrinks along a branch
-        if nxt.bit_count() < t:
-            continue
-        yield from _biclique_sides(rows, t, chosen + (v,), nxt, v + 1)
+    chosen: list[int] = []
+
+    def node(common: int, start: int):
+        if len(chosen) == t:
+            return visit(tuple(chosen), common)
+        for v in range(start, n - t + len(chosen) + 1):  # room for the rest of the side
+            nxt = common & rows[v]
+            # the common set only shrinks along a branch
+            if nxt.bit_count() < t:
+                continue
+            chosen.append(v)
+            found = yield nxt, v + 1
+            if found:
+                return found
+            chosen.pop()
+
+    return _search(node, (1 << n) - 1, 0)
 
 
 def _find_balanced_biclique(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Lex-least side A of size t with |common(A)| >= t, B = least t common."""
     rows = [g.row(u) for u in range(g.n)]
-    for side, common in _biclique_sides(rows, t, (), (1 << g.n) - 1, 0):
-        return side, tuple([v for v in range(g.n) if common >> v & 1][:t])
-    return None
+    return _biclique_sides(rows, t, lambda side, common: (side, tuple(_bits(common)[:t])))
 
 
 def max_balanced_biclique(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -386,11 +398,10 @@ def count_bicliques(g: Graph, ell: int) -> int:
     if ell > g.n:
         return 0
     rows = [g.row(u) for u in range(g.n)]
+    counts: list[int] = []  # visit appends, so returns None and never stops
     with budget(None, "biclique side enumeration"):
-        return sum(
-            math.comb(common.bit_count(), ell)
-            for _, common in _biclique_sides(rows, ell, (), (1 << g.n) - 1, 0)
-        )
+        _biclique_sides(rows, ell, lambda _, c: counts.append(math.comb(c.bit_count(), ell)))
+    return sum(counts)
 
 
 def contains_ktt(g: Graph, t: int) -> bool:
@@ -500,10 +511,10 @@ def _cheapest_cover(
     """
     m = len(weights)
     best: tuple[tuple[int, ...], Fraction] | None = None
+    chosen: list[int] = []
 
-    def dfs(idx: int, chosen: list[int], cost: Fraction) -> None:
+    def node(idx: int, cost: Fraction):
         nonlocal best
-        check_budget()
         lb = lower_bound(chosen, idx)
         if lb is None:
             return
@@ -519,14 +530,11 @@ def _cheapest_cover(
         if idx == m or not covers(chosen + list(range(idx, m))):
             return
         chosen.append(idx)
-        dfs(idx + 1, chosen, cost + weights[idx])
+        yield idx + 1, cost + weights[idx]
         chosen.pop()
-        dfs(idx + 1, chosen, cost)
+        yield idx + 1, cost
 
-    try:
-        dfs(0, [], Fraction(0))
-    finally:
-        del dfs  # it refers to itself
+    _search(node, 0, Fraction(0))
     return best
 
 
@@ -708,19 +716,13 @@ def densest_k_subhypergraph(
     """k-subset containing the most hyperedges entirely; lex-least witness."""
     if not 1 <= k <= h.n:
         raise ValueError(f"need 1 <= k <= {h.n}, got {k}")
-    masks = []
-    for e in h.edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        masks.append(m)
-    small = [m for m in masks if m.bit_count() <= k]
+    small = [sum(1 << v for v in e) for e in h.edges if len(e) <= k]  # distinct vertices
     best_set: tuple[int, ...] | None = None
     best_count = -1
+    chosen: list[int] = []
 
-    def dfs(chosen: list[int], mask: int, start: int) -> None:
+    def node(mask: int, start: int):
         nonlocal best_set, best_count
-        check_budget()
         if len(chosen) == k:
             count = sum(1 for m in small if m & ~mask == 0)
             if count > best_count:
@@ -733,18 +735,13 @@ def densest_k_subhypergraph(
         possible = sum(1 for m in small if m & ~pool_mask == 0)
         if possible <= best_count:
             return
-        for v in range(start, h.n):
-            if h.n - v < r:
-                return
+        for v in range(start, h.n - r + 1):
             chosen.append(v)
-            dfs(chosen, mask | (1 << v), v + 1)
+            yield mask | (1 << v), v + 1
             chosen.pop()
 
-    try:
-        with budget(None, "k-subset search"):
-            dfs([], 0, 0)
-    finally:
-        del dfs  # it refers to itself
+    with budget(None, "k-subset search"):
+        _search(node, 0, 0)
     assert best_set is not None
     recount = len(h.edges_inside(best_set))
     assert recount == best_count
@@ -772,8 +769,7 @@ def detect_pattern(g: Graph, h: Graph, induced: bool) -> tuple[int, ...] | None:
     rows = [g.row(u) for u in range(g.n)]
     image = [0] * h.n  # of each h-vertex placed so far
 
-    def dfs(depth: int, free: int) -> bool:
-        check_budget()
+    def node(depth: int, free: int):
         if depth == h.n:
             return True
         hv = order[depth]
@@ -791,17 +787,15 @@ def detect_pattern(g: Graph, h: Graph, induced: bool) -> tuple[int, ...] | None:
             if rows[gv].bit_count() < need:
                 continue
             image[hv] = gv
-            if dfs(depth + 1, free ^ low):
+            if (yield depth + 1, free ^ low):
                 return True
         return False
 
     try:
         with budget(None, "pattern search"):
-            found = dfs(0, (1 << g.n) - 1)
+            found = _search(node, 0, (1 << g.n) - 1)
     except BudgetExceeded as exc:
         raise PatternSearchTimeout(f"{exc}; absence was NOT established") from None
-    finally:
-        del dfs  # it refers to itself
     if not found:
         return None
     mapping = tuple(image)

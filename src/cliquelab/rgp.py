@@ -30,6 +30,7 @@ from .exactmath import (
     exact_log2,
 )
 from .graph import Graph, bit_rows
+from .oracles import _search
 
 
 class SubsetFamily:
@@ -500,24 +501,20 @@ def check_disperser(
         if mode == "exhaustive":
             thr_max = threshold(T)
 
-            def dfs(start: int, members: list[int], union: int, size: int) -> None:
+            def node(members: tuple[int, ...], union: int):
+                # one search node per index set, rooted at each single index
                 nonlocal nodes
-                for idx in range(start, N):
-                    u2 = union | masks[idx]
-                    s2 = u2.bit_count()
-                    t2 = len(members) + 1
-                    nodes += 1
-                    check_budget()
-                    if t2 > 2:  # depths 1 and 2 already swept exactly
-                        note(tuple(members + [idx]), s2)
-                    if t2 < T and s2 < thr_max:
-                        dfs(idx + 1, members + [idx], u2, s2)
+                nodes += 1
+                size = union.bit_count()
+                if len(members) > 2:  # depths 1 and 2 already swept exactly
+                    note(members, size)
+                if len(members) < T and size < thr_max:
+                    for idx in range(members[-1] + 1, N):
+                        yield members + (idx,), union | masks[idx]
 
-            try:
-                if T > 2:
-                    dfs(0, [], 0, 0)
-            finally:
-                del dfs  # it refers to itself
+            if T > 2:
+                for idx in range(N):
+                    _search(node, (idx,), masks[idx])
             # Depth <= 2 violations were found in the exact sweep above.
         else:
             rng = as_seed(seed).stream("disperser-sample", index)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 from cliquelab.graph import Graph
 
@@ -12,6 +16,36 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     """Plain stdlib sampler, independent of the package's own ensembles."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+def clique_rich_graph(kind: str, n: int, p: float, rng: random.Random) -> Graph:
+    """A G(n, p) sample, the same with a clique planted on a random vertex
+    subset, or disjoint cliques on random blocks of the vertices."""
+    if kind == "random":
+        return random_graph(n, p, rng)
+    if kind == "planted":
+        g = random_graph(n, p, rng)
+        members = sorted(rng.sample(range(n), rng.randint(0, n)))
+        return Graph(n, set(g.edges()) | set(itertools.combinations(members, 2)))
+    block = [rng.randrange(max(1, n // 4)) for _ in range(n)]
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if block[u] == block[v]])
+
+
+@contextmanager
+def shallow_stack(headroom: int = 200) -> Iterator[None]:
+    """Allow only headroom more Python frames than the caller's depth, so that
+    a search recursing once per level fails well before it could answer."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 STEINER = {

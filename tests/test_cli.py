@@ -228,7 +228,7 @@ def test_solve_den_leq_k_beyond_four_is_not_refused_a_priori(tmp_path, capsys):
 
 
 def test_solve_answers_on_a_planted_clique_of_1100(tmp_path, capsys):
-    # an include-first dive one node per clique vertex would recurse too deep
+    # an 1100-clique: no search depth is bound by the recursion limit
     path = str(tmp_path / "g.txt")
     assert main(["gen", "planted", "--n", "1200", "--kappa", "1100", "--seed", "0", "--out", path]) == 0
     capsys.readouterr()

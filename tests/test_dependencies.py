@@ -1,4 +1,5 @@
-"""The package's declared runtime dependencies are the ones its code imports."""
+"""Static checks on the package source: its declared runtime dependencies are
+the ones its code imports, and its searches do not recurse."""
 
 from __future__ import annotations
 
@@ -43,3 +44,19 @@ def test_importing_the_cli_loads_no_mpmath():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_no_search_function_calls_itself():
+    # every search runs on oracles._search, so no search depth meets the
+    # interpreter's recursion limit; a function calling itself by name would
+    # bring per-level recursion back
+    for module in ("oracles.py", "rgp.py"):
+        tree = ast.parse((PACKAGE / module).read_text(), module)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {
+                    call.func.id
+                    for call in ast.walk(fn)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                }
+                assert fn.name not in called, f"{module}: {fn.name} calls itself"

@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _util import random_graph
+from _util import clique_rich_graph, random_graph, shallow_stack
 from cliquelab import oracles
 from cliquelab.caps import VERTEX_CAP, budget
 from cliquelab.ensembles import sample_er, sample_pattern, sample_planted
@@ -199,19 +199,6 @@ def _clique_above_reference(
     return best, nodes
 
 
-def _clique_rich_graph(kind: str, n: int, p: float, rng: random.Random) -> Graph:
-    """A G(n, p) sample, the same with a clique planted on a random vertex
-    subset, or disjoint cliques on random blocks of the vertices."""
-    if kind == "random":
-        return random_graph(n, p, rng)
-    if kind == "planted":
-        g = random_graph(n, p, rng)
-        members = sorted(rng.sample(range(n), rng.randint(0, n)))
-        return Graph(n, set(g.edges()) | set(itertools.combinations(members, 2)))
-    block = [rng.randrange(max(1, n // 4)) for _ in range(n)]
-    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if block[u] == block[v]])
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=0, max_value=40),
@@ -226,7 +213,7 @@ def test_clique_search_expands_the_nodes_of_the_colour_map_search(
     n, p, kind, first, floor, all_candidates, seed
 ):
     rng = random.Random(seed)
-    g = _clique_rich_graph(kind, n, p, rng)
+    g = clique_rich_graph(kind, n, p, rng)
     rows = [g.row(u) for u in range(n)]
     candidates = (1 << n) - 1 if all_candidates else rng.getrandbits(n)
     if isinstance(floor, str):  # near the clique number of the candidates
@@ -245,10 +232,18 @@ def test_clique_search_expands_the_nodes_of_the_colour_map_search(
 
 @pytest.mark.parametrize("n", [1200, 4096])
 def test_clique_search_takes_a_complete_graph_whole(n):
-    # one recursive step per vertex would pass the interpreter's recursion limit
+    # a dive of one search node per vertex is cut short: one node takes them all
     g = Graph.complete(n)
     assert max_clique(g) == tuple(range(n))
     assert den_leq_k(g, n) == Fraction(n - 1, 2)
+
+
+def test_clique_search_dives_deeper_than_the_recursion_limit():
+    # the complement of a perfect matching: no candidate set is ever one
+    # clique, so the search expands one node per vertex of its 300-clique
+    g = Graph(600, [(u, v) for u, v in itertools.combinations(range(600), 2) if v != u ^ 1])
+    with shallow_stack():
+        assert max_clique(g) == tuple(range(0, 600, 2))
 
 
 def test_max_clique_on_a_product_with_thousands_of_lifted_vertices():
@@ -1056,8 +1051,8 @@ def _search_cases():
 
 @pytest.mark.parametrize("name", list(_search_cases()))
 def test_searches_leave_no_reference_cycle(name):
-    # a self-referencing closure left behind would hold the search's state
-    # until a later gc pass
+    # a reference cycle left behind, such as a search node that named
+    # itself, would hold the search's state until a later gc pass
     search = _search_cases()[name]
     gc.disable()
     try:
@@ -1086,8 +1081,8 @@ def _capped_search_cases():
 
 @pytest.mark.parametrize("name", list(_capped_search_cases()))
 def test_a_capped_search_leaves_no_reference_cycle(monkeypatch, name):
-    # the cap stops each search inside its recursion, which must still free
-    # its self-referencing closure on the way out
+    # the cap stops each search with nodes suspended on the driver's stack,
+    # which must still all be freed on the way out
     search = _capped_search_cases()[name]
     monkeypatch.setenv("CLIQUELAB_CAP", "10" if name != "check_disperser" else "70")
     gc.disable()
