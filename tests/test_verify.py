@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from cliquelab import verify
 from cliquelab.caps import budget
 from cliquelab.ensembles import planted_kappa, sample_planted
 from cliquelab.errors import BudgetExceeded, CapExceeded
 from cliquelab.graph import Graph
 from cliquelab.reductions import dks_via_skes
-from cliquelab.rgp import sample_family
+from cliquelab.rgp import DisperserReport, EdgeRuleReport, sample_family
 from cliquelab.verify import (
     DIAGNOSTIC,
     INVARIANT_FAIL,
@@ -165,6 +167,27 @@ def test_completeness_diagnostic_when_undersized():
     assert rep.verdict == DIAGNOSTIC
 
 
+def test_completeness_broken_clique_is_invariant_fail_even_out_of_regime(monkeypatch):
+    # the source graph loses one clique edge, so some witness union is no
+    # clique; that miss outranks the diagnostic verdict of an undersized N
+    real = verify.sample_planted
+
+    def broken(*args, **kwargs):
+        inst = real(*args, **kwargs)
+        a, b = inst.clique[:2]
+        edges = [e for e in inst.graph.edges() if e != (a, b)]
+        return dataclasses.replace(inst, graph=Graph(inst.n, edges))
+
+    monkeypatch.setattr(verify, "sample_planted", broken)
+    rep = verify_completeness(
+        n=16, delta=Fraction(1, 2), ell=2, N=400, k=3, trials=4, seed=5
+    )
+    assert rep.aggregates["in_regime"] is False
+    assert not all(r["witness_union_is_clique"] for r in rep.trials)
+    assert rep.verdict == INVARIANT_FAIL
+    assert rep.aggregates["p_value"] == "0"
+
+
 # -- soundness structure ---------------------------------------------------------------
 
 
@@ -185,6 +208,17 @@ def test_soundness_structure_small():
     )
 
 
+def test_soundness_edge_rule_miss_is_invariant_fail(monkeypatch):
+    monkeypatch.setattr(
+        verify, "check_edge_rule", lambda g, fam, product: EdgeRuleReport(False, 1, 1, ())
+    )
+    rep = verify_soundness_structure(
+        n=24, ell=2, N=80, k=4, trials=3, seed=7, j_samples=2, j_size=4
+    )
+    assert rep.verdict == INVARIANT_FAIL
+    assert rep.aggregates["success_rate"] == 0.0
+
+
 # -- disperser -------------------------------------------------------------------------
 
 
@@ -194,6 +228,24 @@ def test_disperser_trials_pass():
     )
     assert rep.verdict == PASS
     assert rep.aggregates["success_rate"] == 1.0
+
+
+def test_disperser_failing_trials_are_statistical_fail(monkeypatch):
+    # 1 hit in 6 trials: P[Bin(6, 95/100) <= 1] is far below 1/100
+    def check(fam, delta, max_set_size, *, index, **kwargs):
+        ok = index == 0
+        return DisperserReport(
+            "exhaustive", max_set_size, ok, 0 if ok else 1, (), Fraction(1, 3), None, 7
+        )
+
+    monkeypatch.setattr(verify, "check_disperser", check)
+    rep = verify_disperser(
+        n=60, ell=2, N=80, delta=Fraction(1, 2), max_set_size=3, trials=6, seed=9
+    )
+    assert rep.verdict == STATISTICAL_FAIL
+    assert rep.aggregates["hits"] == 1
+    assert Fraction(rep.aggregates["p_value"]) <= Fraction(1, 100)
+    assert rep.aggregates["worst_ratio"] == "1/3"
 
 
 def test_disperser_threads_do_not_change_output():
