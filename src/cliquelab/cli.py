@@ -343,8 +343,8 @@ def _default_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _thread_count(text: str) -> int:
-    """--threads: a pool size of at least 1, or a usage error."""
+def _at_least_one(text: str) -> int:
+    """A count of at least 1 (--trials, --threads), or a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -596,9 +596,9 @@ def build_parser() -> _Parser:
     ver.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     ver.add_argument("--samples", type=int, default=1000)
     ver.add_argument("--max-retries", type=int, default=60)
-    ver.add_argument("--trials", type=int, required=True)
+    ver.add_argument("--trials", type=_at_least_one, required=True)
     ver.add_argument("--seed", type=int, required=True)
-    ver.add_argument("--threads", type=_thread_count, help="default: machine parallelism")
+    ver.add_argument("--threads", type=_at_least_one, help="default: machine parallelism")
     ver.add_argument("--out-json")
     ver.add_argument("--out-csv")
     ver.set_defaults(func=_cmd_verify)

@@ -136,6 +136,12 @@ def _meta_lines(meta: Mapping[str, str] | None) -> list[str]:
     return [f"# {key}: {value}" for key, value in meta.items()]
 
 
+def _digit_table(n: int) -> np.ndarray:
+    """Row v is vertex v's decimal name in ASCII, NUL-padded to the width of n - 1."""
+    width = len(str(n - 1))
+    return np.arange(n).astype(f"S{width}").view(np.uint8).reshape(n, width)
+
+
 # -- graphs --------------------------------------------------------------------
 
 
@@ -144,9 +150,9 @@ def dump_graph(g: Graph, meta: Mapping[str, str] | None = None) -> str:
     u, v = np.divmod(np.flatnonzero(g.to_bool_matrix()), g.n)
     keep = u < v
     u, v = u[keep], v[keep]
-    # Vertex names as NUL-padded ASCII: each line is "u v\n" with the NULs dropped.
-    width = len(str(g.n - 1))
-    digits = np.arange(g.n).astype(f"S{width}").view(np.uint8).reshape(g.n, width)
+    # Each line is "u v\n" from the padded vertex names, with the NULs dropped.
+    digits = _digit_table(g.n)
+    width = digits.shape[1]
     lines = np.empty((u.size, 2 * width + 2), dtype=np.uint8)
     lines[:, :width] = digits[u]
     lines[:, width] = ord(" ")
@@ -358,10 +364,10 @@ def dump_family(fam: SubsetFamily, meta: Mapping[str, str] | None = None) -> str
             if key != "source-n":
                 merged[key] = value
     head = "\n".join([f"f {fam.N} {fam.ell}", *_meta_lines(merged)]) + "\n"
-    # Each draw as NUL-padded ASCII and a space, the last draw of a row with an
-    # LF instead; a draw equal to the next one (rows are sorted) is all NULs.
-    width = len(str(fam.source_n - 1))
-    digits = np.arange(fam.source_n).astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    # Each draw's padded name and a space, the last draw of a row with an LF
+    # instead; a draw equal to the next one (rows are sorted) is all NULs.
+    digits = _digit_table(fam.source_n)
+    width = digits.shape[1]
     cells = np.empty((fam.N, fam.ell, width + 1), dtype=np.uint8)
     cells[:, :, :width] = digits[fam.draws]
     cells[:, :, width] = ord(" ")

@@ -441,6 +441,18 @@ def smallest_k_edge_subgraph(g: Graph, k: int) -> tuple[int, ...]:
 # -- Steiner k-forest -----------------------------------------------------------
 
 
+def _demand_pairs(
+    n: int, demands: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """The demands as int pairs, or a ValueError if one leaves range(n)."""
+    norm = []
+    for s, t in demands:
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"demand ({s}, {t}) out of range")
+        norm.append((int(s), int(t)))
+    return tuple(norm)
+
+
 @dataclass(frozen=True)
 class SteinerForestInstance:
     """Edge-weighted graph with demand pairs; connect at least k of them."""
@@ -459,12 +471,7 @@ class SteinerForestInstance:
         )
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")
-        norm = []
-        for s, t in self.demands:
-            if not (0 <= s < self.graph.n and 0 <= t < self.graph.n):
-                raise ValueError(f"demand ({s}, {t}) out of range")
-            norm.append((int(s), int(t)))
-        object.__setattr__(self, "demands", tuple(norm))
+        object.__setattr__(self, "demands", _demand_pairs(self.graph.n, self.demands))
         if not 0 <= self.k <= len(self.demands):
             raise ValueError(f"need 0 <= k <= {len(self.demands)}")
 
@@ -575,12 +582,7 @@ class DsnInstance:
     demands: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        norm = []
-        for s, t in self.demands:
-            if not (0 <= s < self.digraph.n and 0 <= t < self.digraph.n):
-                raise ValueError(f"demand ({s}, {t}) out of range")
-            norm.append((int(s), int(t)))
-        object.__setattr__(self, "demands", tuple(norm))
+        object.__setattr__(self, "demands", _demand_pairs(self.digraph.n, self.demands))
 
 
 def _out_masks(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:

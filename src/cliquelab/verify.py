@@ -148,6 +148,8 @@ def clopper_pearson(hits: int, trials: int, conf: float = 0.99) -> tuple[float, 
 def _run_trials(
     trials: int, worker: Callable[[int], dict[str, Any]], threads: int
 ) -> tuple[dict[str, Any], ...]:
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     if threads <= 1:
         return tuple(worker(i) for i in range(trials))
     # a pool thread starts with an empty context: hand each trial the
@@ -159,16 +161,42 @@ def _run_trials(
         return tuple(f.result() for f in futures)
 
 
-def _base_config(lemma: str, seed: Seed, trials: int, **params) -> dict[str, Any]:
-    cfg = {
+def _report(
+    lemma: str,
+    seed: Seed,
+    records: tuple[dict[str, Any], ...],
+    aggregates: dict[str, Any],
+    verdict: str,
+    **params,
+) -> TrialReport:
+    """The lemma's report; its config is the run's identity, then params."""
+    config = {
         "lemma": lemma,
         "seed": seed.value,
-        "trials": trials,
+        "trials": len(records),
         "generator": GENERATOR_ID,
         "version": __version__,
+        **params,
     }
-    cfg.update(params)
-    return cfg
+    return TrialReport(lemma, config, records, aggregates, verdict)
+
+
+def _rate_claim(
+    records: tuple[dict[str, Any], ...], p0: Fraction
+) -> tuple[str, dict[str, Any]]:
+    """The verdict on a stated success rate p0, and the rate's aggregates."""
+    trials = len(records)
+    hits = sum(1 for r in records if r["success"])
+    verdict, p_value = rate_verdict(trials, hits, p0)
+    lo, hi = clopper_pearson(hits, trials)
+    return verdict, {
+        "success_rate": hits / trials,
+        "hits": hits,
+        "threshold": str(p0),
+        "p_value": str(p_value),
+        "ci99_low": lo,
+        "ci99_high": hi,
+    }
 
 
 # -- completeness: the planted clique survives the product ------------------------
@@ -196,7 +224,6 @@ def verify_completeness(
     kappa = planted_kappa(n, delta)
     # N >= 10 k (n/kappa)^ell, compared exactly in integers
     in_regime = N * kappa**ell >= 10 * k * n**ell
-    p0 = Fraction(9, 10)
 
     def worker(i: int) -> dict[str, Any]:
         inst = sample_planted(n, 0.5, kappa, seed, index=i)
@@ -219,39 +246,17 @@ def verify_completeness(
         }
 
     records = _run_trials(trials, worker, threads)
-    hits = sum(1 for r in records if r["success"])
-    invariant_ok = all(r["witness_union_is_clique"] for r in records)
-    lo, hi = clopper_pearson(hits, trials)
-    if not invariant_ok:
-        verdict, p_value = INVARIANT_FAIL, Fraction(0)
+    verdict, aggregates = _rate_claim(records, Fraction(9, 10))
+    if not all(r["witness_union_is_clique"] for r in records):
+        verdict, aggregates["p_value"] = INVARIANT_FAIL, "0"
     elif not in_regime:
-        verdict, p_value = DIAGNOSTIC, Fraction(1)
-    else:
-        verdict, p_value = rate_verdict(trials, hits, p0)
-    config = _base_config(
-        "completeness",
-        seed,
-        trials,
-        n=n,
-        delta=str(delta),
-        ell=ell,
-        N=N,
-        k=k,
-        kappa=kappa,
+        verdict, aggregates["p_value"] = DIAGNOSTIC, "1"
+    aggregates["in_regime"] = in_regime
+    aggregates["mean_witness_count"] = sum(r["witness_count"] for r in records) / trials
+    return _report(
+        "completeness", seed, records, aggregates, verdict,
+        n=n, delta=str(delta), ell=ell, N=N, k=k, kappa=kappa,
     )
-    aggregates = {
-        "success_rate": hits / trials if trials else 0.0,
-        "hits": hits,
-        "threshold": str(p0),
-        "in_regime": in_regime,
-        "p_value": str(p_value),
-        "ci99_low": lo,
-        "ci99_high": hi,
-        "mean_witness_count": sum(r["witness_count"] for r in records) / trials
-        if trials
-        else 0.0,
-    }
-    return TrialReport("completeness", config, records, aggregates, verdict)
 
 
 # -- soundness structure: edge rule, implied edges, null densities -----------------
@@ -312,33 +317,21 @@ def verify_soundness_structure(
 
     records = _run_trials(trials, worker, threads)
     ok = all(r["edge_rule_ok"] and r["implied_contained"] for r in records)
-    dens = [r["den_leq_k"] for r in records]
-    mean_den = sum(dens, Fraction(0)) / trials if trials else Fraction(0)
-    float_dens = sorted(float(d) for d in dens)
-    config = _base_config(
-        "soundness-structure",
-        seed,
-        trials,
-        n=n,
-        ell=ell,
-        N=N,
-        k=k,
-        kappa=kappa,
-        j_samples=j_samples,
-        j_size=j_size,
-    )
+    mean_den = sum((r["den_leq_k"] for r in records), Fraction(0)) / trials
+    float_dens = [r["den_leq_k_float"] for r in records]
     aggregates = {
         "success_rate": 1.0 if ok else 0.0,
         "mean_den_leq_k": str(mean_den),
         "mean_den_leq_k_float": float(mean_den),
-        "min_den_leq_k_float": float_dens[0] if float_dens else 0.0,
-        "max_den_leq_k_float": float_dens[-1] if float_dens else 0.0,
-        "mean_product_edges": sum(r["product_edges"] for r in records) / trials
-        if trials
-        else 0.0,
+        "min_den_leq_k_float": min(float_dens),
+        "max_den_leq_k_float": max(float_dens),
+        "mean_product_edges": sum(r["product_edges"] for r in records) / trials,
     }
-    verdict = PASS if ok else INVARIANT_FAIL
-    return TrialReport("soundness-structure", config, records, aggregates, verdict)
+    return _report(
+        "soundness-structure", seed, records, aggregates,
+        PASS if ok else INVARIANT_FAIL,
+        n=n, ell=ell, N=N, k=k, kappa=kappa, j_samples=j_samples, j_size=j_size,
+    )
 
 
 def den_mean_confidence(
@@ -373,7 +366,6 @@ def verify_disperser(
     """Families are dispersing: small index sets cover many source vertices."""
     seed = as_seed(seed)
     delta = as_fraction(delta)
-    p0 = Fraction(95, 100)
 
     def worker(i: int) -> dict[str, Any]:
         fam = sample_family(n, N, ell, seed, index=i)
@@ -392,35 +384,17 @@ def verify_disperser(
         }
 
     records = _run_trials(trials, worker, threads)
-    hits = sum(1 for r in records if r["success"])
-    verdict, p_value = rate_verdict(trials, hits, p0)
-    lo, hi = clopper_pearson(hits, trials)
+    verdict, aggregates = _rate_claim(records, Fraction(95, 100))
     worst = min(
         (r["worst_ratio"] for r in records if r["worst_ratio"] is not None),
         default=None,
     )
-    config = _base_config(
-        "disperser",
-        seed,
-        trials,
-        n=n,
-        ell=ell,
-        N=N,
-        delta=str(delta),
-        max_set_size=max_set_size,
-        mode=mode,
-        samples=samples,
+    aggregates["worst_ratio"] = str(worst) if worst is not None else None
+    return _report(
+        "disperser", seed, records, aggregates, verdict,
+        n=n, ell=ell, N=N, delta=str(delta), max_set_size=max_set_size,
+        mode=mode, samples=samples,
     )
-    aggregates = {
-        "success_rate": hits / trials if trials else 0.0,
-        "hits": hits,
-        "threshold": str(p0),
-        "p_value": str(p_value),
-        "ci99_low": lo,
-        "ci99_high": hi,
-        "worst_ratio": str(worst) if worst is not None else None,
-    }
-    return TrialReport("disperser", config, records, aggregates, verdict)
 
 
 # -- the K_{t,t} counting bound ------------------------------------------------------
@@ -495,26 +469,19 @@ def verify_lemma44(
         verdict = DIAGNOSTIC
     else:
         verdict = PASS
-    config = _base_config(
-        "lemma44",
-        seed,
-        trials,
-        kappa=kappa,
-        t=t,
-        ell=ell,
-        p=p,
-        max_retries=max_retries,
-        explicit_graphs=graphs is not None,
-    )
     aggregates = {
-        "success_rate": (len(tested) - violations) / trials if trials else 0.0,
+        "success_rate": (len(tested) - violations) / trials,
         "violations": violations,
         "exhausted": exhausted,
         "bound": str(bound),
         "bound_float": float(bound),
         "max_count": max((r["count"] for r in tested), default=0),
     }
-    return TrialReport("lemma44", config, records, aggregates, verdict)
+    return _report(
+        "lemma44", seed, records, aggregates, verdict,
+        kappa=kappa, t=t, ell=ell, p=p, max_retries=max_retries,
+        explicit_graphs=graphs is not None,
+    )
 
 
 # -- averaging ----------------------------------------------------------------------
@@ -554,12 +521,8 @@ def verify_averaging_trials(
 
     records = _run_trials(trials, worker, threads)
     ok = all(r["success"] for r in records)
-    config = _base_config(
-        "averaging", seed, trials, n=n, s_size=s_size, k=k, p=p
-    )
-    aggregates = {
-        "success_rate": sum(r["success"] for r in records) / trials if trials else 0.0
-    }
-    return TrialReport(
-        "averaging", config, records, aggregates, PASS if ok else INVARIANT_FAIL
+    aggregates = {"success_rate": sum(r["success"] for r in records) / trials}
+    return _report(
+        "averaging", seed, records, aggregates, PASS if ok else INVARIANT_FAIL,
+        n=n, s_size=s_size, k=k, p=p,
     )

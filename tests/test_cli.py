@@ -334,15 +334,24 @@ def test_verify_threads_flag_does_not_change_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_verify_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+@pytest.mark.parametrize(
+    "flag, count",
+    [
+        pytest.param("--threads", "0", id="0"),
+        pytest.param("--threads", "-1", id="-1"),
+        pytest.param("--trials", "0", id="trials-0"),
+        pytest.param("--trials", "-1", id="trials--1"),
+    ],
+)
+def test_verify_threads_below_one_is_usage_error(tmp_path, capsys, flag, count):
     out = tmp_path / "r.json"
+    counts = {"--trials": "2", "--threads": "1", flag: count}
     argv = [
-        "verify", "averaging", "--n", "10", "--s-size", "8", "--k", "3",
-        "--trials", "2", "--seed", "2", "--threads", threads, "--out-json", str(out),
+        "verify", "averaging", "--n", "10", "--s-size", "8", "--k", "3", "--seed", "2",
+        "--out-json", str(out), *(x for pair in counts.items() for x in pair),
     ]
     assert main(argv) == 1
-    assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1, got {count}" in capsys.readouterr().err
     assert not out.exists()
 
 

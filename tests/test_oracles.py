@@ -574,6 +574,24 @@ def test_steiner_matches_brute_force_small():
             assert cost == best
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda demands: SteinerForestInstance(
+            Graph(3, [(0, 1)]), (Fraction(1),), demands, k=0
+        ),
+        lambda demands: DsnInstance(WeightedDigraph(3, [(0, 1, Fraction(1))]), demands),
+    ],
+    ids=["steiner", "dsn"],
+)
+def test_instances_check_and_normalize_demands(make):
+    inst = make([[True, 2]])
+    assert inst.demands == ((1, 2),) and type(inst.demands[0][0]) is int
+    for bad in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"demand \({bad[0]}, {bad[1]}\) out of range"):
+            make([bad])
+
+
 # -- directed steiner network ---------------------------------------------------------
 
 

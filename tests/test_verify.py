@@ -330,6 +330,25 @@ def test_verify_averaging_trials_pass():
     assert rep.aggregates["success_rate"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "run, kwargs",
+    [
+        (verify_completeness, dict(n=16, delta=Fraction(1, 2), ell=2, N=30, k=3)),
+        (verify_soundness_structure, dict(n=24, ell=2, N=80, k=4)),
+        (
+            verify_disperser,
+            dict(n=60, ell=2, N=80, delta=Fraction(1, 2), max_set_size=3),
+        ),
+        (verify_lemma44, dict(kappa=32, t=2, ell=1)),
+        (verify_averaging_trials, dict(n=12, s_size=10, k=4)),
+    ],
+    ids=["completeness", "soundness", "disperser", "lemma44", "averaging"],
+)
+def test_zero_trials_give_no_verdict(run, kwargs):
+    with pytest.raises(ValueError, match="at least 1 trial, got 0"):
+        run(**kwargs, trials=0, seed=1)
+
+
 def test_reports_embed_generator_and_version():
     rep = verify_averaging_trials(n=8, s_size=6, k=3, trials=5, seed=1)
     assert "generator" in rep.config
