@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -339,19 +338,22 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    return max(1, os.cpu_count() or 1)
+def _at_least(floor: int) -> Callable[[str], int]:
+    """The argparse type of a count of at least floor; less is a usage error."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return count
 
 
-def _at_least_one(text: str) -> int:
-    """A count of at least 1 (--trials, --threads), or a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+_at_least_one = _at_least(1)
 
 
 # lemma -> (its function in verify, the flags it requires, the flags it takes
@@ -382,7 +384,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         **{flag: getattr(args, flag) for flag in needs + defaults},
         trials=args.trials,
         seed=args.seed,
-        threads=args.threads or _default_threads(),
+        threads=args.threads or 1,
     )
     dt = time.perf_counter() - t0
 
@@ -590,15 +592,18 @@ def build_parser() -> _Parser:
     ver.add_argument("--t", type=int)
     ver.add_argument("--p", default=0.5, help="edge probability for averaging")
     ver.add_argument("--s-size", type=int, help="superset size for averaging")
-    ver.add_argument("--j-samples", type=int, default=20)
-    ver.add_argument("--j-size", type=int, default=6)
+    ver.add_argument("--j-samples", type=_at_least_one, default=20)
+    # a J of one index has no pairs
+    ver.add_argument("--j-size", type=_at_least(2), default=6)
     ver.add_argument("--max-set-size", type=int)
     ver.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    ver.add_argument("--samples", type=int, default=1000)
+    ver.add_argument("--samples", type=_at_least_one, default=1000)
     ver.add_argument("--max-retries", type=int, default=60)
     ver.add_argument("--trials", type=_at_least_one, required=True)
     ver.add_argument("--seed", type=int, required=True)
-    ver.add_argument("--threads", type=_at_least_one, help="default: machine parallelism")
+    ver.add_argument(
+        "--threads", type=_at_least_one, help="default: 1, trials on the calling thread"
+    )
     ver.add_argument("--out-json")
     ver.add_argument("--out-csv")
     ver.set_defaults(func=_cmd_verify)

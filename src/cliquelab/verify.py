@@ -282,6 +282,11 @@ def verify_soundness_structure(
     set, sources are planted instances instead of G(n, 1/2) nulls, giving the
     comparison arm at identical parameters.
     """
+    # with no J, or a J of one index, the containment claim would hold vacuously
+    if j_samples < 1 or j_size < 2:
+        raise ValueError(
+            f"need j_samples >= 1 and j_size >= 2, got {j_samples} and {j_size}"
+        )
     seed = as_seed(seed)
 
     def worker(i: int) -> dict[str, Any]:
@@ -364,6 +369,8 @@ def verify_disperser(
     threads: int = 1,
 ) -> TrialReport:
     """Families are dispersing: small index sets cover many source vertices."""
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
     seed = as_seed(seed)
     delta = as_fraction(delta)
 

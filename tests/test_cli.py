@@ -334,16 +334,53 @@ def test_verify_threads_flag_does_not_change_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_verify_default_runs_trials_on_the_calling_thread(tmp_path, monkeypatch):
+    argv = [
+        "verify", "soundness", "--n", "24", "--ell", "2", "--N", "80", "--k", "4",
+        "--trials", "4", "--seed", "5",
+    ]
+    # each trial calls den_leq_k once, on the thread that runs it
+    idents = []
+    den_leq_k = verify_mod.den_leq_k
+
+    def den(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return den_leq_k(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "den_leq_k", den)
+    pooled = tmp_path / "pooled.json"
+    assert main(argv + ["--threads", "2", "--out-json", str(pooled)]) == 0
+    assert len(idents) == 4 and threading.get_ident() not in idents
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built without --threads")
+
+    monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", no_pool)
+    idents.clear()
+    default = tmp_path / "default.json"
+    assert main(argv + ["--out-json", str(default)]) == 0
+    assert idents == [threading.get_ident()] * 4
+    a, b = (json.loads(path.read_text()) for path in (default, pooled))
+    assert "threads" not in a["run"]["params"]
+    assert b["run"]["params"]["threads"] == 2
+    del a["run"], b["run"]
+    assert a == b
+
+
 @pytest.mark.parametrize(
-    "flag, count",
+    "flag, count, floor",
     [
-        pytest.param("--threads", "0", id="0"),
-        pytest.param("--threads", "-1", id="-1"),
-        pytest.param("--trials", "0", id="trials-0"),
-        pytest.param("--trials", "-1", id="trials--1"),
+        pytest.param("--threads", "0", 1, id="0"),
+        pytest.param("--threads", "-1", 1, id="-1"),
+        pytest.param("--trials", "0", 1, id="trials-0"),
+        pytest.param("--trials", "-1", 1, id="trials--1"),
+        pytest.param("--samples", "0", 1, id="samples-0"),
+        pytest.param("--j-samples", "0", 1, id="j-samples-0"),
+        pytest.param("--j-samples", "-1", 1, id="j-samples--1"),
+        pytest.param("--j-size", "1", 2, id="j-size-1"),
     ],
 )
-def test_verify_threads_below_one_is_usage_error(tmp_path, capsys, flag, count):
+def test_verify_threads_below_one_is_usage_error(tmp_path, capsys, flag, count, floor):
     out = tmp_path / "r.json"
     counts = {"--trials": "2", "--threads": "1", flag: count}
     argv = [
@@ -351,7 +388,8 @@ def test_verify_threads_below_one_is_usage_error(tmp_path, capsys, flag, count):
         "--out-json", str(out), *(x for pair in counts.items() for x in pair),
     ]
     assert main(argv) == 1
-    assert f"argument {flag}: must be at least 1, got {count}" in capsys.readouterr().err
+    message = f"argument {flag}: must be at least {floor}, got {count}"
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

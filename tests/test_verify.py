@@ -349,6 +349,26 @@ def test_zero_trials_give_no_verdict(run, kwargs):
         run(**kwargs, trials=0, seed=1)
 
 
+_SOUNDNESS = dict(n=24, ell=2, N=80, k=4)
+_DISPERSER = dict(n=60, ell=2, N=80, delta=Fraction(1, 2), max_set_size=3)
+
+
+@pytest.mark.parametrize(
+    "run, kwargs, message",
+    [
+        (verify_soundness_structure, dict(_SOUNDNESS, j_samples=0), "got 0 and 6"),
+        (verify_soundness_structure, dict(_SOUNDNESS, j_samples=-1), "got -1 and 6"),
+        (verify_soundness_structure, dict(_SOUNDNESS, j_size=1), "got 20 and 1"),
+        (verify_disperser, dict(_DISPERSER, mode="sampled", samples=0), "got 0"),
+    ],
+    ids=["j_samples-0", "j_samples--1", "j_size-1", "samples-0"],
+)
+def test_samplers_that_sample_nothing_are_refused(run, kwargs, message):
+    # no J, a J without pairs or no sampled index set would pass vacuously
+    with pytest.raises(ValueError, match=message):
+        run(**kwargs, trials=2, seed=1)
+
+
 def test_reports_embed_generator_and_version():
     rep = verify_averaging_trials(n=8, s_size=6, k=3, trials=5, seed=1)
     assert "generator" in rep.config
