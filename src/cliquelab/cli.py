@@ -16,7 +16,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
@@ -432,14 +431,6 @@ def _cmd_params(args: argparse.Namespace) -> int:
 # -- report ------------------------------------------------------------------------
 
 
-@dataclass
-class _LemmaPool:
-    files: list[str] = field(default_factory=list)
-    columns: tuple[str, ...] | None = None
-    rows: list[dict[str, str]] = field(default_factory=list)
-    verdicts: list[str] = field(default_factory=list)
-
-
 _VERDICT_ORDER = [PASS, DIAGNOSTIC, STATISTICAL_FAIL, INVARIANT_FAIL]
 
 
@@ -462,45 +453,44 @@ def _read_trial_csv(path: str) -> tuple[list[str], list[dict[str, str]]]:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    pools: dict[str, _LemmaPool] = {}
+    # lemma: (its sorted columns, the files that hold its rows, its rows)
+    pools: dict[str, tuple[tuple[str, ...], list[str], list[dict[str, str]]]] = {}
     for path in args.inputs:
         try:
             header, rows = _read_trial_csv(path)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_USAGE
+        cols = tuple(sorted(header))
         for row in rows:
-            pool = pools.setdefault(row["lemma"], _LemmaPool())
-            cols = tuple(sorted(header))
-            if pool.columns is None:
-                pool.columns = cols
-            elif pool.columns != cols:
-                offending = sorted(set(pool.columns) ^ set(cols))[0]
+            columns, files, pooled = pools.setdefault(row["lemma"], (cols, [], []))
+            if columns != cols:
+                offending = sorted(set(columns) ^ set(cols))[0]
                 print(
                     f"{path}: schema mismatch for lemma '{row['lemma']}' "
                     f"on column '{offending}'",
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
-            if path not in pool.files:
-                pool.files.append(path)
-            pool.rows.append(row)
-            pool.verdicts.append(row["verdict"])
+            if path not in files:
+                files.append(path)
+            pooled.append(row)
 
     run = _run_record(args, "report", fmt="csv+json")
     summary: dict[str, Any] = {"run": run, "lemmas": {}}
     for lemma in sorted(pools):
-        pool = pools[lemma]
+        columns, files, rows = pools[lemma]
+        verdicts = {row["verdict"] for row in rows}
         entry: dict[str, Any] = {
-            "files": pool.files,
-            "trials": len(pool.rows),
-            "verdict": max(set(pool.verdicts), key=_VERDICT_ORDER.index),
-            "verdicts_seen": sorted(set(pool.verdicts)),
+            "files": files,
+            "trials": len(rows),
+            "verdict": max(verdicts, key=_VERDICT_ORDER.index),
+            "verdicts_seen": sorted(verdicts),
         }
-        if pool.columns and "success" in pool.columns:
-            hits = sum(1 for r in pool.rows if r["success"] == "True")
+        if "success" in columns:  # a pool holds at least the row that made it
+            hits = sum(1 for r in rows if r["success"] == "True")
             entry["hits"] = hits
-            entry["pooled_success_rate"] = hits / len(pool.rows) if pool.rows else 0.0
+            entry["pooled_success_rate"] = hits / len(rows)
         summary["lemmas"][lemma] = entry
     _emit_json(args.out_summary, summary)
 
@@ -508,7 +498,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         rows = [
             [lemma, col, row["trial"], row[col]]
             for lemma in sorted(pools)
-            for row in pools[lemma].rows
+            for row in pools[lemma][2]
             for col in sorted(row)
             if col not in ("lemma", "trial", "verdict")
         ]

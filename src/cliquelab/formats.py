@@ -376,15 +376,15 @@ def dump_family(fam: SubsetFamily, meta: Mapping[str, str] | None = None) -> str
     return head + cells[cells != 0].tobytes().decode("ascii")
 
 
-def load_family(text: str, source_n: int | None = None) -> SubsetFamily:
+def load_family(text: str) -> SubsetFamily:
+    """Read dump_family's text.  The sets alone do not fix the source size,
+    so a text without a `# source-n` line is refused, not guessed at."""
     N, ell, body = _table(text, "f")
     sets = tuple(tuple(map(_decimal, _BLANKS.split(line))) for line in body)
-    if source_n is None:
-        meta = parse_meta(text)
-        if "source-n" in meta:
-            source_n = _decimal(meta["source-n"])
-        else:
-            source_n = max((s[-1] for s in sets if s), default=0) + 1
+    meta = parse_meta(text)
+    if "source-n" not in meta:
+        raise ValueError("family text has no '# source-n: <n>' line")
+    source_n = _decimal(meta["source-n"])
     check_vertices(source_n)  # before the family's arrays are built
     return SubsetFamily(source_n=source_n, ell=ell, sets=sets)
 

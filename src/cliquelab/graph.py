@@ -85,6 +85,11 @@ class Graph:
     def m(self) -> int:
         return self._m
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Every vertex's neighborhood as a bitmask, row u for vertex u."""
+        return self._rows
+
     def row(self, u: int) -> int:
         """Neighborhood of u as a bitmask."""
         return self._rows[u]

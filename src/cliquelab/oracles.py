@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable, Generator, Iterable, Sequence
 
 import numpy as np
@@ -137,7 +136,7 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     if not g.n:
         return ()
     with budget(None, "clique search"):
-        result = tuple(_clique_above([g.row(u) for u in range(g.n)], (1 << g.n) - 1, 0, False))
+        result = tuple(_clique_above(g.rows, (1 << g.n) - 1, 0, False))
     assert g.is_clique(result)
     return result
 
@@ -186,7 +185,7 @@ def count_cliques(g: Graph, r: int) -> int:
     if r > g.n:
         return 0
     with budget(None, f"{r}-clique enumeration"):
-        return _clique_dfs([g.row(u) for u in range(g.n)], g.n, r, None)
+        return _clique_dfs(g.rows, g.n, r, None)
 
 
 def clique_list(g: Graph, r: int) -> list[tuple[int, ...]]:
@@ -197,7 +196,7 @@ def clique_list(g: Graph, r: int) -> list[tuple[int, ...]]:
         return []
     out: list[tuple[int, ...]] = []
     with budget(None, f"{r}-clique enumeration"):
-        _clique_dfs([g.row(u) for u in range(g.n)], g.n, r, out)
+        _clique_dfs(g.rows, g.n, r, out)
     return out
 
 
@@ -250,7 +249,7 @@ def densest_k_subgraph(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= {g.n}, got {k}")
     with budget(None, "k-subset search"):
-        found = _most_edges([g.row(u) for u in range(g.n)], g.n, k, -1, False)
+        found = _most_edges(g.rows, g.n, k, -1, False)
     assert found is not None
     best_set, best_edges = found
     recount = g.induced(best_set).m
@@ -267,8 +266,8 @@ def _den_leq4_closed_form(g: Graph, k: int) -> Fraction:
     3/4 (3 edges on 4 vertices) > 2/3 (path on 3) > 1/2 (edge) > 0,
     and without the k-clique each case reduces to a degree or common-neighbor
     test.  At k = 4 the common neighbor counts come from one float32 matrix
-    product on BLAS, exact below 2^24 vertices.  With no search loop, the
-    budget is checked only around that product.
+    product on BLAS, exact below 2^24 vertices.  With no search loop, only the
+    deadline is checked, around that product: it expands no search node.
     """
     if g.m == 0:
         return Fraction(0)
@@ -276,12 +275,12 @@ def _den_leq4_closed_form(g: Graph, k: int) -> Fraction:
     if k == 3:
         return Fraction(2, 3) if max_deg >= 2 else Fraction(1, 2)
     adj = g.to_bool_matrix()
-    check_budget()
+    check_budget(0)
     # Exact in float32: every entry and partial sum is an integer <= n <=
     # VERTEX_CAP < 2^24, whatever order BLAS sums in (numpy's int matmul has no BLAS).
     a = adj.astype(np.float32)
     common = a @ a
-    check_budget()
+    check_budget(0)
     on_edges = common[adj]  # common neighbours of each adjacent pair
     if (on_edges >= 2).any():
         return Fraction(5, 4)  # diamond: with no K4 the two common neighbours are apart
@@ -310,8 +309,7 @@ def den_leq_k(g: Graph, k: int) -> Fraction:
     if k == 0:
         raise ValueError("graph is empty")
     with budget(None, "density search"):
-        rows = [g.row(u) for u in range(g.n)]
-        clique = _clique_above(rows, (1 << g.n) - 1, k - 1, True)
+        clique = _clique_above(g.rows, (1 << g.n) - 1, k - 1, True)
         if clique:
             assert len(clique) == k and g.is_clique(clique)
             return Fraction(k - 1, 2)
@@ -320,7 +318,7 @@ def den_leq_k(g: Graph, k: int) -> Fraction:
         value = Fraction(0)
         for s in range(1, k + 1):
             # only a set with more than value * s edges beats value at size s
-            found = _most_edges(rows, g.n, s, math.floor(value * s), False)
+            found = _most_edges(g.rows, g.n, s, math.floor(value * s), False)
             if found is not None:
                 assert g.induced(found[0]).m == found[1]
                 value = Fraction(found[1], s)
@@ -366,8 +364,7 @@ def _biclique_sides(
 
 def _find_balanced_biclique(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Lex-least side A of size t with |common(A)| >= t, B = least t common."""
-    rows = [g.row(u) for u in range(g.n)]
-    return _biclique_sides(rows, t, lambda side, common: (side, tuple(_bits(common)[:t])))
+    return _biclique_sides(g.rows, t, lambda side, common: (side, tuple(_bits(common)[:t])))
 
 
 def max_balanced_biclique(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -397,10 +394,9 @@ def count_bicliques(g: Graph, ell: int) -> int:
         raise ValueError("ell must be positive")
     if ell > g.n:
         return 0
-    rows = [g.row(u) for u in range(g.n)]
     counts: list[int] = []  # visit appends, so returns None and never stops
     with budget(None, "biclique side enumeration"):
-        _biclique_sides(rows, ell, lambda _, c: counts.append(math.comb(c.bit_count(), ell)))
+        _biclique_sides(g.rows, ell, lambda _, c: counts.append(math.comb(c.bit_count(), ell)))
     return sum(counts)
 
 
@@ -425,13 +421,12 @@ def smallest_k_edge_subgraph(g: Graph, k: int) -> tuple[int, ...]:
         return ()
     if g.m < k:
         raise InfeasibleError(f"graph has {g.m} < {k} edges")
-    rows = [g.row(u) for u in range(g.n)]
     lo = 2
     while math.comb(lo, 2) < k:
         lo += 1
     with budget(None, "subset search"):
         for size in range(lo, g.n + 1):
-            found = _most_edges(rows, g.n, size, k - 1, True)
+            found = _most_edges(g.rows, g.n, size, k - 1, True)
             if found is not None:
                 assert g.induced(found[0]).m >= k
                 return found[0]
@@ -474,13 +469,6 @@ class SteinerForestInstance:
         object.__setattr__(self, "demands", _demand_pairs(self.graph.n, self.demands))
         if not 0 <= self.k <= len(self.demands):
             raise ValueError(f"need 0 <= k <= {len(self.demands)}")
-
-    @cached_property
-    def _weight_by_edge(self) -> dict[tuple[int, int], Fraction]:
-        return dict(zip(self.graph.edges(), self.weights))
-
-    def weight_of(self, edge: tuple[int, int]) -> Fraction:
-        return self._weight_by_edge[edge]
 
 
 def satisfied_demands(
@@ -567,7 +555,8 @@ def steiner_k_forest(
     assert found is not None
     best_set, best_cost = tuple(edges[i] for i in found[0]), found[1]
     assert satisfied_demands(n, best_set, inst.demands) >= inst.k
-    assert sum((inst.weight_of(e) for e in best_set), Fraction(0)) == best_cost
+    weight = dict(zip(edges, inst.weights))
+    assert sum((weight[e] for e in best_set), Fraction(0)) == best_cost
     return best_set, best_cost
 
 
@@ -661,29 +650,24 @@ def directed_steiner_network(
     # source and a cheapest incoming arc for each sink; that is only sound
     # when no single paid arc can serve both sides at once.
     direct = any(u in sources and v in sinks for u, v, _ in pos)
-    zero_out = {u for u, _ in zero}
-    zero_in = {v for _, v in zero}
+    # (the end of an arc that serves a terminal, the terminals, the
+    # terminals a zero arc already serves): tail for sources, head for sinks
+    sides = ((0, sources, {u for u, _ in zero}), (1, sinks, {v for _, v in zero}))
 
     def lower_bound(chosen: list[int], idx: int) -> Fraction | None:
-        have_out = zero_out | {pos[i][0] for i in chosen}
-        have_in = zero_in | {pos[i][1] for i in chosen}
-        need_out = Fraction(0)
-        for s in sources:
-            if s in have_out:
-                continue
-            opts = [pos[i][2] for i in range(idx, len(pos)) if pos[i][0] == s]
-            if not opts:
-                return None  # dead branch
-            need_out += min(opts)
-        need_in = Fraction(0)
-        for t in sinks:
-            if t in have_in:
-                continue
-            opts = [pos[i][2] for i in range(idx, len(pos)) if pos[i][1] == t]
-            if not opts:
-                return None
-            need_in += min(opts)
-        return max(need_out, need_in) if direct else need_out + need_in
+        need = []
+        for end, terminals, free in sides:
+            have = free | {pos[i][end] for i in chosen}
+            owed = Fraction(0)
+            for x in terminals:
+                if x in have:
+                    continue
+                opts = [pos[i][2] for i in range(idx, len(pos)) if pos[i][end] == x]
+                if not opts:
+                    return None  # dead branch
+                owed += min(opts)
+            need.append(owed)
+        return max(need) if direct else sum(need)
 
     with budget(None, "arc subset search"):
         found = _cheapest_cover(
@@ -768,7 +752,7 @@ def detect_pattern(g: Graph, h: Graph, induced: bool) -> tuple[int, ...] | None:
         return ()
     # static order: h-vertices by descending degree, index as tie-break
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
-    rows = [g.row(u) for u in range(g.n)]
+    rows = g.rows
     image = [0] * h.n  # of each h-vertex placed so far
 
     def node(depth: int, free: int):

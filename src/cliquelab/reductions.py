@@ -15,7 +15,7 @@ from typing import Any, Iterable, Sequence
 
 from .ensembles import Seed, as_seed
 from .errors import InfeasibleError
-from .exactmath import exp_neg_upper, iroot_floor
+from .exactmath import ceil_root, exp_neg_upper
 from .graph import Graph, Hypergraph, WeightedDigraph
 from .oracles import (
     DsnInstance,
@@ -72,6 +72,14 @@ def dks_from_biclique(
 # -- SkES solution -> DkS --------------------------------------------------------
 
 
+def averaging_floor(k: int, size: int, edges: int) -> int:
+    """ceil(k(k-1) / (size(size-1)) * edges), the least number of edges the
+    best k-subset of a size-set with that many edges keeps; 0 when size < 2."""
+    if size < 2:
+        return 0
+    return math.ceil(Fraction(k * (k - 1), size * (size - 1)) * edges)
+
+
 def dks_via_skes(
     g: Graph, k: int, skes_solution: Iterable[int]
 ) -> tuple[int, ...]:
@@ -87,9 +95,7 @@ def dks_via_skes(
         raise ValueError(f"need 1 <= k <= |S|={len(s)}")
     sub = g.induced(s)
     picked, best_edges = densest_k_subgraph(sub, k)
-    if len(s) > 1:
-        floor_bound = Fraction(k * (k - 1), len(s) * (len(s) - 1)) * sub.m
-        assert best_edges >= math.ceil(floor_bound)
+    assert best_edges >= averaging_floor(k, len(s), sub.m)
     return tuple(s[i] for i in picked)
 
 
@@ -203,14 +209,24 @@ def extract_dsn_solution(
     cert: ReductionCertificate, arcs: Iterable[tuple[int, int]]
 ) -> tuple[int, ...]:
     """Vertices whose terminal arcs the solution pays for."""
+    starts, ends = _terminal_arcs(cert, arcs)
+    return tuple(sorted(set().union(*starts.values(), *ends.values())))
+
+
+def _terminal_arcs(
+    cert: ReductionCertificate, arcs: Iterable[tuple[int, int]]
+) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    """For each part i, the v of every (s_i, v1) arc; for each part j, the u of
+    every (u2, t_j) arc."""
     n, k = cert.data["n"], cert.data["k"]
-    out: set[int] = set()
+    starts: dict[int, set[int]] = {i: set() for i in range(k)}
+    ends: dict[int, set[int]] = {j: set() for j in range(k)}
     for u, v in arcs:
-        if u >= 2 * n and u < 2 * n + k:  # (s_i, v1)
-            out.add(v)
-        elif v >= 2 * n + k:  # (v2, t_j)
-            out.add(u - n)
-    return tuple(sorted(out))
+        if 2 * n <= u < 2 * n + k:
+            starts[u - 2 * n].add(v)
+        elif v >= 2 * n + k:
+            ends[v - 2 * n - k].add(u - n)
+    return starts, ends
 
 
 def dsn_cross_edge_property(
@@ -224,15 +240,8 @@ def dsn_cross_edge_property(
     are deliberately not checked.
     """
     n, k = cert.data["n"], cert.data["k"]
-    part = cert.data["partition"]
     arcset = set(arcs)
-    starts: dict[int, set[int]] = {i: set() for i in range(k)}
-    ends: dict[int, set[int]] = {j: set() for j in range(k)}
-    for u, v in arcset:
-        if 2 * n <= u < 2 * n + k:
-            starts[u - 2 * n].add(v)
-        elif v >= 2 * n + k:
-            ends[v - 2 * n - k].add(u - n)
+    starts, ends = _terminal_arcs(cert, arcset)
     for i in range(k):
         for j in range(k):
             if i == j:
@@ -258,15 +267,8 @@ def ell_for_ratio(rho: int, g_value) -> int:
     g_value = Fraction(g_value)
     if rho < 1 or g_value <= 0:
         raise ValueError("need rho >= 1 and g > 0")
-    # smallest c with c^10 * g >= rho^10
-    x = rho**10 * g_value.denominator
-    y = g_value.numerator
-    c = iroot_floor(x // y, 10)
-    while c**10 * y >= x and c > 1:
-        c -= 1
-    while c**10 * y < x:
-        c += 1
-    return c
+    # the least c with c^10 >= rho^10 / g, that is c^10 >= ceil(rho^10 / g)
+    return ceil_root(math.ceil(rho**10 / g_value), 10)
 
 
 def biclique_to_dksh(

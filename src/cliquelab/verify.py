@@ -34,7 +34,7 @@ from .ensembles import (
 from .exactmath import binom_cdf
 from .graph import Graph
 from .oracles import contains_ktt, count_bicliques, den_leq_k, densest_k_subgraph
-from .reductions import lemma44_bound
+from .reductions import averaging_floor, lemma44_bound
 from .rgp import (
     check_disperser,
     check_edge_rule,
@@ -501,12 +501,7 @@ def verify_averaging(g: Graph, s: Iterable[int], k: int) -> bool:
         raise ValueError(f"need 1 <= k <= |S|={len(s)}")
     sub = g.induced(s)
     _, best = densest_k_subgraph(sub, k)
-    if len(s) == 1:
-        return best >= 0
-    target = math.ceil(
-        Fraction(k * (k - 1), len(s) * (len(s) - 1)) * sub.m
-    )
-    return best >= target
+    return best >= averaging_floor(k, len(s), sub.m)
 
 
 def verify_averaging_trials(

@@ -555,8 +555,6 @@ def test_family_round_trip_and_source_n():
     text = dump_family(fam)
     assert "# source-n: 9" in text
     assert load_family(text) == fam
-    # explicit override wins over the embedded meta
-    assert load_family(text, source_n=12).source_n == 12
 
 
 def _dump_family_reference(fam: SubsetFamily, meta: dict[str, str] | None = None) -> str:
@@ -587,24 +585,24 @@ def test_dump_family_matches_the_per_set_writer_where_digit_widths_change(source
             assert load_family(text) == fam
 
 
-def test_family_infers_source_n_without_meta():
-    text = "f 2 2\n0 3\n1 2\n"
-    assert load_family(text).source_n == 4
+def test_family_without_a_source_n_line_is_refused():
+    # the sets alone do not fix the source size: 4 here, or any larger n
+    for text in ("f 2 2\n0 3\n1 2\n", "f 0 1\n", "f 1 1\n# source_n: 4\n0\n"):
+        with pytest.raises(ValueError, match="no '# source-n: <n>' line"):
+            load_family(text)
 
 
 @pytest.mark.parametrize(
-    "text, source_n",
+    "text",
     [
-        ("f 1 1\n99999999999999999999\n", None),
-        ("f 1 1\n# source-n: 100000000\n0\n", None),
-        ("f 1 1\n# source-n: 99999999999999999999\n0\n", None),
-        ("f 1 1\n0\n", VERTEX_CAP + 1),
+        "f 1 1\n# source-n: 100000000\n0\n",
+        "f 1 1\n# source-n: 99999999999999999999\n0\n",
     ],
-    ids=["inferred", "meta", "meta-beyond-int64", "passed-in"],
+    ids=["meta", "meta-beyond-int64"],
 )
-def test_load_family_refuses_a_source_beyond_the_vertex_cap(text, source_n):
+def test_load_family_refuses_a_source_beyond_the_vertex_cap(text):
     with pytest.raises(CapExceeded, match=f"exceeds the vertex cap {VERTEX_CAP}"):
-        load_family(text, source_n)
+        load_family(text)
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,13 @@ def test_graph_basic_accessors(c5):
     assert c5.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
 
+@given(st.integers(0, 12), st.floats(0, 1), st.integers(0, 10**6))
+def test_rows_are_every_vertex_row(n, p, seed):
+    g = random_graph(n, p, random.Random(seed))
+    for h in (g, g.complement(), Graph.from_bool_matrix(g.to_bool_matrix())):
+        assert h.rows == tuple(h.row(u) for u in range(h.n))
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])

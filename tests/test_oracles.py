@@ -947,6 +947,17 @@ def test_dsn_search_expands_a_pinned_node_count(monkeypatch):
         directed_steiner_network(inst)
 
 
+def test_den_leq4_closed_form_counts_no_search_node(monkeypatch):
+    # the clique search expands 21 nodes and finds no K4; the closed form's
+    # two deadline polls around its matrix product expand none
+    g = sample_er(30, Fraction(1, 10), 1)
+    monkeypatch.setenv("CLIQUELAB_CAP", "21")
+    assert den_leq_k(g, 4) == Fraction(5, 4)
+    monkeypatch.setenv("CLIQUELAB_CAP", "20")
+    with pytest.raises(CapExceeded, match="density search passed the cap of 20"):
+        den_leq_k(g, 4)
+
+
 def test_den_leq_k_searches_only_for_denser_sets(monkeypatch):
     # omega = 4 < k = 5, so the floor sweep runs: each size s looks only for
     # more than floor(value * s) edges, 417 nodes over both searches here,

@@ -19,6 +19,7 @@ from cliquelab.oracles import (
 )
 from cliquelab.reductions import (
     ReductionCertificate,
+    averaging_floor,
     biclique_to_dksh,
     dks_from_biclique,
     dks_to_induced_pattern,
@@ -40,6 +41,19 @@ def test_certificate_json_round_trip():
 
 
 # -- biclique padding / averaging ---------------------------------------------------
+
+
+def test_averaging_floor_is_the_former_expression():
+    for size in range(1, 9):
+        for k in range(1, size + 1):
+            for edges in range(size * (size - 1) // 2 + 1):
+                former = (
+                    math.ceil(Fraction(k * (k - 1), size * (size - 1)) * edges)
+                    if size > 1
+                    else 0
+                )
+                assert averaging_floor(k, size, edges) == former
+    assert averaging_floor(1, 1, 0) == averaging_floor(1, 0, 0) == 0
 
 
 def test_dks_from_biclique_pads_with_low_ids():
@@ -153,6 +167,38 @@ def test_dsn_cross_edge_property_detects_missing_pair():
 
 
 # -- hypergraph reduction --------------------------------------------------------------
+
+
+def _least_c(rho: int, g: Fraction) -> int:
+    """The least c >= 1 with c^10 * g >= rho^10, by bisection on integers."""
+    lo, hi = 1, rho  # hi suffices while g >= 1
+    while hi**10 * g < rho**10:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**10 * g >= rho**10:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize(
+    "rho, g",
+    [
+        (2, Fraction(1025)),  # g > rho^10: c = 1
+        (3, Fraction(7 * 3**10 + 1, 7)),  # g just above rho^10: c = 1
+        (2, Fraction(2**10)),  # g = rho^10: c = 1 exactly
+        (5, Fraction(5**10)),
+        (7, Fraction(1, 3)),  # c above rho
+        (6, Fraction(2**10)),  # g a tenth power: c = 3 exactly
+        (10**3, Fraction(10**30 - 1, 10**30 + 7)),  # near 10^30, c just above rho
+        (10**3, Fraction(10**30 + 3, 10**30 - 1)),  # near 10^30, c = rho
+        (12345, Fraction(3 * 10**29 + 1, 10**30 - 3)),
+    ],
+)
+def test_ell_for_ratio_is_the_least_c(rho, g):
+    assert ell_for_ratio(rho, g) == _least_c(rho, g)
 
 
 def test_ell_for_ratio_minimality():

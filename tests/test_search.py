@@ -10,6 +10,7 @@ its node cap, on an input deeper than the recursion limit allows.
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from _util import clique_rich_graph, random_graph, shallow_stack
 from cliquelab import oracles
+from cliquelab.ensembles import sample_er
 from cliquelab.errors import CapExceeded
 from cliquelab.graph import Graph, Hypergraph, WeightedDigraph, _bits
 from cliquelab.oracles import (
@@ -37,6 +39,7 @@ from cliquelab.oracles import (
     smallest_k_edge_subgraph,
     steiner_k_forest,
 )
+from cliquelab.reductions import skes_to_dsn
 from cliquelab.rgp import DisperserReport, SubsetFamily, check_disperser
 
 rgp = importlib.import_module("cliquelab.rgp")  # the package exports a function of that name
@@ -499,6 +502,43 @@ def test_dsn_cover_search_matches_the_recursive_one(n, p, weights, pairs, seed):
     with mock.patch.object(oracles, "_cheapest_cover", _cheapest_cover_recursive):
         reference = _counted(lambda: directed_steiner_network(inst))
     assert _counted(lambda: directed_steiner_network(inst)) == reference
+
+
+# (cost, nodes) of criterion 7b's rainbow instances, in its order
+_DSN_RAINBOW_PINS = [
+    (4, 1345), (4, 913), (4, 801), (4, 1991), (4, 517),
+    (6, 1023), (6, 345), (6, 2467), (6, 695), (6, 151),
+    (8, 105), (8, 863), (8, 223), (8, 653), (8, 333),
+    (10, 215), (10, 247), (10, 201), (10, 249), (10, 109),
+]
+# (n, k, seed): (cost, nodes) on sample_er(n, 1/2, seed) and a seeded partition
+_DSN_SEEDED_PINS = {
+    (6, 2, 1): (4, 715),
+    (7, 2, 2): (4, 1073),
+    (8, 2, 5): (4, 1387),
+    (6, 3, 6): (6, 211),
+    (7, 3, 7): (6, 359),
+    (8, 3, 9): (8, 1207),
+}
+
+
+def test_dsn_search_keeps_its_pinned_costs_and_node_counts():
+    # the comparison above hands the reference search the oracle's own lower
+    # bound, so only fixed counts can show a change in that bound
+    rng = random.Random(7)
+    got = []
+    for k in range(2, 6):
+        for trial in range(5):
+            n = rng.randint(max(k, 6), 8)
+            edges = set(random_graph(n, 0.5, rng).edges())
+            clique = rng.sample(range(n), k)
+            edges.update(itertools.combinations(sorted(clique), 2))
+            inst, _ = skes_to_dsn(Graph(n, edges), k, seed=trial, rainbow=sorted(clique))
+            got.append(_counted(lambda: directed_steiner_network(inst)[1]))
+    assert got == _DSN_RAINBOW_PINS
+    for (n, k, seed), pin in _DSN_SEEDED_PINS.items():
+        inst, _ = skes_to_dsn(sample_er(n, Fraction(1, 2), seed), k, seed=seed)
+        assert _counted(lambda: directed_steiner_network(inst)[1]) == pin
 
 
 @settings(max_examples=100, deadline=None)
