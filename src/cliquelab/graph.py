@@ -8,7 +8,7 @@ Densities and weights are exact (fractions.Fraction), never floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -215,20 +215,16 @@ def peel_to_min_degree(g: Graph) -> tuple[int, ...]:
     if g.m == 0:
         raise ValueError("peeling needs at least one edge")
     threshold = g.density()
-    alive_mask = (1 << g.n) - 1
-    alive = set(range(g.n))
+    alive = (1 << g.n) - 1
     while True:
-        victim = -1
-        for u in sorted(alive):
-            if (g.row(u) & alive_mask).bit_count() < threshold:
-                victim = u
+        for u in _bits(alive):
+            if (g.row(u) & alive).bit_count() < threshold:
+                alive &= ~(1 << u)
                 break
-        if victim < 0:
+        else:
             break
-        alive.remove(victim)
-        alive_mask &= ~(1 << victim)
     assert alive, "peeling emptied the graph, which contradicts the edge count bound"
-    return tuple(sorted(alive))
+    return tuple(_bits(alive))
 
 
 Weight = Fraction | int

@@ -142,7 +142,7 @@ def max_clique(g: Graph) -> tuple[int, ...]:
 
 
 def clique_number(g: Graph) -> int:
-    return len(max_clique(g)) if g.n else 0
+    return len(max_clique(g))
 
 
 def _clique_dfs(rows: Sequence[int], n: int, r: int, collect: list | None) -> int:
@@ -288,10 +288,9 @@ def _den_leq4_closed_form(g: Graph, k: int) -> Fraction:
         return Fraction(1)  # triangle or 4-cycle
     if max_deg >= 3:
         return Fraction(3, 4)  # star on 4 vertices
-    deg = adj.sum(axis=1)
-    for u, v in np.argwhere(np.triu(adj, 1)):
-        if deg[u] >= 2 and deg[v] >= 2:
-            return Fraction(3, 4)  # path on 4 vertices (no triangle/C4 here)
+    inner = adj.sum(axis=1) >= 2
+    if adj[np.ix_(inner, inner)].any():
+        return Fraction(3, 4)  # path on 4 vertices (no triangle/C4 here)
     if max_deg >= 2:
         return Fraction(2, 3)
     return Fraction(1, 2)

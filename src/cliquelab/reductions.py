@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 from .ensembles import Seed, as_seed
-from .errors import InfeasibleError
 from .exactmath import ceil_root, exp_neg_upper
 from .graph import Graph, Hypergraph, WeightedDigraph
 from .oracles import (
@@ -242,21 +241,16 @@ def dsn_cross_edge_property(
     n, k = cert.data["n"], cert.data["k"]
     arcset = set(arcs)
     starts, ends = _terminal_arcs(cert, arcset)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            hit = False
-            for v in starts[i]:
-                for u in ends[j]:
-                    if (v, n + u) in arcset and v != u and g.has_edge(v, u):
-                        hit = True
-                        break
-                if hit:
-                    break
-            if not hit:
-                return False
-    return True
+    return all(
+        any(
+            (v, n + u) in arcset and v != u and g.has_edge(v, u)
+            for v in starts[i]
+            for u in ends[j]
+        )
+        for i in range(k)
+        for j in range(k)
+        if i != j
+    )
 
 
 # -- biclique -> densest k-subhypergraph ---------------------------------------------

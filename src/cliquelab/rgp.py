@@ -411,10 +411,13 @@ def check_disperser(
     partial union already as large as the largest applicable threshold cannot
     shrink, so no extension violates.  The worst-ratio diagnostic is exact for
     |M| in {1, 2} (always swept) and otherwise covers the nodes the search
-    actually expanded.  The pair sweep counts one node per pair it unions,
-    exhaustive mode one per node it expands and sampled mode one per sample, in
-    one budget scope, so each raises CapExceeded once past the node cap and
-    BudgetExceeded once past an enclosing deadline.
+    actually expanded.  Every violation is counted; the report lists the first
+    100 in sweep order (singletons by index, then pairs row by row, then the
+    sets the search or the sampler visits), sorted.  The pair sweep counts one
+    node per pair it unions, exhaustive mode one per node it expands and
+    sampled mode one per sample, in one budget scope, so each raises
+    CapExceeded once past the node cap and BudgetExceeded once past an
+    enclosing deadline.
     """
     delta = as_fraction(delta)
     if not 0 < delta < 1:
@@ -432,7 +435,6 @@ def check_disperser(
         return Fraction(1, 100) * delta * t * ell
 
     masks = fam.masks
-    sizes = [m.bit_count() for m in masks]
     violations: list[tuple[tuple[int, ...], int, Fraction]] = []
     violation_count = 0
     worst_ratio: Fraction | None = None
@@ -450,53 +452,42 @@ def check_disperser(
             if len(violations) < 100:
                 violations.append((members, union_size, threshold(t)))
 
+    def record(t: int, union_sizes: np.ndarray, members: tuple[np.ndarray, ...]) -> None:
+        # note() for every t-set at once: union_sizes[p] belongs to the set
+        # (members[0][p], ..., members[t-1][p]), in sweep order
+        nonlocal worst_ratio, worst_set, violation_count
+        pos = int(union_sizes.argmin())
+        ratio = Fraction(int(union_sizes[pos]), t * ell)
+        if worst_ratio is None or ratio < worst_ratio:
+            worst_ratio, worst_set = ratio, tuple(int(m[pos]) for m in members)
+        # an integer union size lies below threshold(t) iff it lies below its ceiling
+        bad = np.flatnonzero(union_sizes < math.ceil(threshold(t)))
+        violation_count += bad.size
+        for p in bad[: 100 - len(violations)].tolist():
+            violations.append(
+                (tuple(int(m[p]) for m in members), int(union_sizes[p]), threshold(t))
+            )
+
     # One budget scope counts the pairs swept and the nodes searched.
     with budget(None, "disperser sweep"):
         # Exact sweep over singletons and pairs for the diagnostic.
-        for i in range(N):
-            note((i,), sizes[i])
-        if T >= 2 and N >= 2:
+        record(1, np.array([m.bit_count() for m in masks]), (np.arange(N),))
+        if T >= 2:  # T <= N, so there are pairs
             # the membership bits packed into bytes, read eight bytes at a time
             packed = np.packbits(fam.membership(), axis=1)
             words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-            best_pop = None
-            best_pair = None
-            # an integer union size lies below threshold(2) iff it lies below its ceiling
-            limit = math.ceil(threshold(2))
-            first_poor: list[tuple[int, int, int]] = []  # violating pairs, row by row
-            poor_count = 0
-            chunk = max(1, (1 << 22) // max(N, 1))
+            chunk = max(1, (1 << 22) // N)
             for lo in range(0, N, chunk):
                 hi = min(lo + chunk, N)
-                iu = np.triu_indices(hi - lo, 1 + lo, N)
-                check_budget(iu[0].size)  # one node per pair of the chunk
+                rows, cols = np.triu_indices(hi - lo, 1 + lo, N)
+                check_budget(rows.size)  # one node per pair of the chunk
                 pops = np.zeros((hi - lo, N), dtype=np.uint32)
                 for wi in range(words.shape[1]):
                     pops += np.bitwise_count(words[lo:hi, wi, None] | words[None, :, wi])
-                block = pops[iu]
-                if block.size:
-                    pos = int(block.argmin())
-                    pop = int(block[pos])
-                    if best_pop is None or pop < best_pop:
-                        best_pop = pop
-                        best_pair = (int(iu[0][pos]) + lo, int(iu[1][pos]))
-                    bad = np.flatnonzero(block < limit)
-                    poor_count += bad.size
-                    bad = bad[: 101 - len(first_poor)]
-                    rows, cols = iu[0][bad] + lo, iu[1][bad]
-                    first_poor.extend(
-                        zip(rows.tolist(), cols.tolist(), block[bad].tolist())
-                    )
-            if best_pair is not None:
-                note(best_pair, best_pop)
-            # Violating pairs (if any) must all be counted, not just the minimum.
-            # note() records at most 100 violations, so the first 101 violating
-            # pairs hold every one it can record; the rest are only counted.
-            others = [(i, j, pop) for i, j, pop in first_poor if (i, j) != best_pair]
-            for i, j, pop in others:
-                note((i, j), pop)
-            if poor_count:
-                violation_count += poor_count - 1 - len(others)
+                block = pops[rows, cols]
+                rows += lo
+                if block.size:  # the last chunk can be one row, with no pair
+                    record(2, block, (rows, cols))
 
         if mode == "exhaustive":
             thr_max = threshold(T)

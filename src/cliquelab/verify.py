@@ -15,6 +15,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -300,15 +301,9 @@ def verify_soundness_structure(
         contained = True
         for _ in range(j_samples):
             J = uniform_subset(N, min(j_size, N), rng)
-            sub_edges = [
-                (J[a], J[b])
-                for a in range(len(J))
-                for b in range(a + 1, len(J))
-                if product.has_edge(J[a], J[b])
-            ]
+            sub_edges = [(a, b) for a, b in combinations(J, 2) if product.has_edge(a, b)]
             implied = implied_edges(fam, sub_edges)
-            if not all(g.has_edge(u, v) for u, v in implied):
-                contained = False
+            contained &= all(g.has_edge(u, v) for u, v in implied)
         den = den_leq_k(product, k)
         return {
             "trial": i,

@@ -1,5 +1,6 @@
 """Static checks on the package source: its declared runtime dependencies are
-the ones its code imports, and its searches do not recurse."""
+the ones its code imports, every import is used, and its searches do not
+recurse."""
 
 from __future__ import annotations
 
@@ -60,3 +61,22 @@ def test_no_search_function_calls_itself():
                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                 }
                 assert fn.name not in called, f"{module}: {fn.name} calls itself"
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export, so only the other modules are scanned
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

@@ -448,6 +448,32 @@ def test_disperser_records_violating_pairs_in_every_chunk():
     assert (rep.worst_ratio, rep.worst_set) == (Fraction(1, 200), (3,))
 
 
+def test_disperser_lists_the_first_100_violations_in_sweep_order():
+    # at ell = 200 a set below 2 vertices or a pair below 4 violates: the two
+    # copies of (50,), all 190 pairs of the 20 copies of (0, 1, 2), and
+    # (20, 21), which is also the worst set but comes last in the sweep; the
+    # list keeps the first 100 in sweep order, the singletons and 98 pairs
+    fam = SubsetFamily(source_n=51, ell=200, sets=[(0, 1, 2)] * 20 + [(50,)] * 2)
+    rep = check_disperser(fam, Fraction(99, 100), 2)
+    assert (rep.worst_set, rep.worst_ratio) == ((20, 21), Fraction(1, 400))
+    assert rep.violation_count == 193
+    one, two = Fraction(99, 50), Fraction(99, 25)
+    pairs = list(itertools.combinations(range(20), 2))[:98]
+    assert rep.violations == tuple(
+        sorted([((20,), 1, one), ((21,), 1, one)] + [(p, 3, two) for p in pairs])
+    )
+
+
+def test_disperser_sweeps_a_last_chunk_of_one_row():
+    # at N = 3547 the chunks hold (1 << 22) // 3547 = 1182 rows, so the last
+    # chunk is row 3546 alone and has no pair to the right of it
+    sets = list(itertools.islice(itertools.combinations(range(30), 3), 3547))
+    fam = SubsetFamily(source_n=30, ell=3, sets=sets)
+    rep = check_disperser(fam, Fraction(1, 2), 2)
+    assert rep.ok
+    assert (rep.worst_set, rep.worst_ratio) == ((0, 1), Fraction(2, 3))
+
+
 def test_disperser_pair_sweep_counts_one_node_per_pair(monkeypatch):
     # T = 2 runs no search: the N(N-1)/2 = 44850 pairs are the whole count
     fam = sample_family(100, 300, 2, 15)
