@@ -146,19 +146,24 @@ def _digit_table(n: int) -> np.ndarray:
 
 
 def dump_graph(g: Graph, meta: Mapping[str, str] | None = None) -> str:
+    """The graph's text: the header, the meta lines, then one `u v` line per
+    edge with u < v, in sorted order.  The edge lines are one array of
+    records, two vertex-name cells NUL-padded to a fixed width, a space and
+    an LF, filled by 1-D gathers of the names; the NULs are then dropped."""
     head = "\n".join([f"g {g.n} {g.m}", *_meta_lines(meta)]) + "\n"
     u, v = np.divmod(np.flatnonzero(g.to_bool_matrix()), g.n)
     keep = u < v
     u, v = u[keep], v[keep]
-    # Each line is "u v\n" from the padded vertex names, with the NULs dropped.
     digits = _digit_table(g.n)
-    width = digits.shape[1]
-    lines = np.empty((u.size, 2 * width + 2), dtype=np.uint8)
-    lines[:, :width] = digits[u]
-    lines[:, width] = ord(" ")
-    lines[:, width + 1 : -1] = digits[v]
-    lines[:, -1] = ord("\n")
-    return head + lines[lines != 0].tobytes().decode("ascii")
+    cell = f"V{digits.shape[1]}"
+    names = digits.view(cell).ravel()
+    lines = np.empty(u.size, dtype=[("u", cell), ("sp", "u1"), ("v", cell), ("lf", "u1")])
+    lines["u"] = names[u]
+    lines["sp"] = ord(" ")
+    lines["v"] = names[v]
+    lines["lf"] = ord("\n")
+    raw = lines.view(np.uint8)
+    return head + raw[raw != 0].tobytes().decode("ascii")
 
 
 # Edge lines parsed between two polls of the budget's deadline.

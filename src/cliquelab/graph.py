@@ -8,7 +8,7 @@ Densities and weights are exact (fractions.Fraction), never floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -115,15 +115,12 @@ class Graph:
         ]
 
     def to_bool_matrix(self) -> np.ndarray:
+        """The (n, n) adjacency as a read-only bool array, built once and shared."""
         if self._np_cache is None:
-            nbytes = (self.n + 7) // 8
-            buf = b"".join(r.to_bytes(nbytes, "little") for r in self._rows)
-            bits = np.unpackbits(
-                np.frombuffer(buf, dtype=np.uint8).reshape(self.n, nbytes),
-                axis=1,
-                bitorder="little",
-            )
-            self._np_cache = bits[:, : self.n].astype(bool)
+            packed = packed_rows(self._rows, self.n)
+            bits = np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
+            bits.flags.writeable = False
+            self._np_cache = bits
         return self._np_cache
 
     # -- structural operations ----------------------------------------------
@@ -191,6 +188,14 @@ def bit_rows(bits: np.ndarray) -> list[int]:
         int.from_bytes(buf[r * width : (r + 1) * width], "little")
         for r in range(packed.shape[0])
     ]
+
+
+def packed_rows(rows: Sequence[int], width: int) -> np.ndarray:
+    """The inverse of bit_rows: row r holds rows[r] as ceil(width / 8)
+    little-endian bytes, bit c of rows[r] at bit c % 8 of byte c // 8."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
 
 
 def _bits(mask: int) -> list[int]:

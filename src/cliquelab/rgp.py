@@ -7,7 +7,8 @@ induces a clique in the source.  The family is kept as the (N, ell) array of
 its draws.  Construction computes each adjacency row as ell + 1 ANDs of N-bit
 index masks, built from the source graph's closed neighborhoods; an
 independent checker re-derives every edge decision through a different
-formulation (counting forbidden pairs by matrix products).
+formulation (counting forbidden pairs by matrix products) and compares the
+decisions with the product's rows packed into little-endian bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .exactmath import (
     compare_pow,
     exact_log2,
 )
-from .graph import Graph, bit_rows
+from .graph import Graph, bit_rows, packed_rows
 from .oracles import _search
 
 
@@ -194,7 +195,10 @@ def check_edge_rule(g: Graph, fam: SubsetFamily, product: Graph) -> EdgeRuleRepo
     (R_j), and those from set i to set j.  The union induces a clique iff the
     count is zero.  The count is assembled from dense float32 matrix products,
     sharing no code with product_graph's row build; a set with R_i > 0 is no
-    clique, so its row is expected empty and skips the product.
+    clique, so its row is expected empty and skips the product.  Each chunk of
+    expected rows is packed into little-endian bytes and compared with the
+    product's rows as bytes, so the product is never unpacked; only rows that
+    differ are unpacked, to list their violations in row-major order.
     """
     if fam.source_n != g.n or product.n != fam.N:
         raise ValueError("mismatched source graph, family, or product")
@@ -205,7 +209,7 @@ def check_edge_rule(g: Graph, fam: SubsetFamily, product: Graph) -> EdgeRuleRepo
     F = (~closed).astype(np.float32)
     D = B @ F  # D[i, v] = how many members of set i forbid v
     R = (B * D).sum(axis=1)
-    got_full = product.to_bool_matrix()
+    got = packed_rows(product.rows, N)
     violations = 0
     sample: list[tuple[int, int, bool, bool]] = []
     chunk = max(1, (1 << 22) // max(N, 1))
@@ -218,13 +222,16 @@ def check_edge_rule(g: Graph, fam: SubsetFamily, product: Graph) -> EdgeRuleRepo
         expected = np.zeros((hi - lo, N), dtype=bool)
         expected[cliques] = S == 0.0
         expected[np.arange(hi - lo), np.arange(lo, hi)] = False
-        diff = expected != got_full[lo:hi]
-        if diff.any():
-            for a, b in zip(*np.nonzero(diff)):
-                violations += 1
-                if len(sample) < 50:
-                    i, j = int(a) + lo, int(b)
-                    sample.append((i, j, bool(expected[a, b]), bool(got_full[i, j])))
+        packed = np.packbits(expected, axis=1, bitorder="little")
+        packed ^= got[lo:hi]
+        differ = np.flatnonzero(packed.any(axis=1))
+        if differ.size:
+            # the differing bits of the differing rows, in row-major order
+            a, b = np.nonzero(np.unpackbits(packed[differ], axis=1, count=N, bitorder="little"))
+            violations += a.size
+            for i, j in zip(differ[a[: 50 - len(sample)]].tolist(), b.tolist()):
+                want = bool(expected[i, j])
+                sample.append((i + lo, j, want, not want))
     return EdgeRuleReport(
         ok=violations == 0,
         pairs_checked=N * (N - 1) // 2,

@@ -70,6 +70,27 @@ def test_bool_matrix_round_trip(c6):
     assert Graph.from_bool_matrix(adj) == c6
 
 
+def test_bool_matrix_is_read_only(c6):
+    # every caller shares the one cached array, so a write must not pass
+    adj = c6.to_bool_matrix()
+    with pytest.raises(ValueError):
+        adj[0, 1] = False
+    assert c6.to_bool_matrix() is adj and adj[0, 1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 2000])
+def test_bool_matrix_holds_every_row_bit_by_bit(n):
+    # n = 7 and 9 leave the last byte of a packed row partly filled
+    upper = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, 1)
+    g = Graph.from_bool_matrix(upper | upper.T)
+    for h in (g, g.complement()):
+        adj = h.to_bool_matrix()
+        assert adj.shape == (n, n) and adj.dtype == np.bool_ and adj.flags.c_contiguous
+        # bit c of row u is the c-th binary digit of h.rows[u], counted from the right
+        want = [[c == "1" for c in format(row, f"0{n}b")[::-1]] for row in h.rows]
+        assert np.array_equal(adj, np.array(want, dtype=bool).reshape(n, n))
+
+
 def test_density_and_clique(k4, c5):
     assert k4.density() == Fraction(6, 4)
     assert c5.density() == Fraction(1)

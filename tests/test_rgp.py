@@ -225,6 +225,22 @@ def test_edge_rule_checker_reports_as_the_checker_of_every_row(n, ell, N, flips,
     assert check_edge_rule(g, fam, bad) == _check_edge_rule_reference(g, fam, bad)
 
 
+def test_edge_rule_checker_reports_as_the_checker_of_every_row_in_a_partial_last_byte():
+    # at N = 2001 the last byte of each packed row holds one bit, index 2000;
+    # the flips add up: a mirrored pair, a self-loop, then a bit without its mirror
+    g = Graph.cycle(7)
+    prod, fam = rgp(g, 2001, 2, 6)
+    rows = list(prod.rows)
+    for i, j, mirror in ((0, 2000, True), (2000, 2000, False), (7, 2000, False)):
+        rows[i] ^= 1 << j
+        if mirror:
+            rows[j] ^= 1 << i
+        bad = Graph._from_rows(2001, tuple(rows))
+        rep = check_edge_rule(g, fam, bad)
+        assert not rep.ok
+        assert rep == _check_edge_rule_reference(g, fam, bad)
+
+
 def test_implied_edges_are_source_edges():
     rng = random.Random(11)
     for _ in range(10):
