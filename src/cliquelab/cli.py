@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import io
 import json
@@ -641,7 +642,34 @@ def _check_required(args: argparse.Namespace) -> str | None:
     return None
 
 
+# mallopt parameter numbers, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _steady_heap() -> None:
+    """Keep freed numpy scratch in the heap, once per process.
+
+    glibc serves a block above its mmap threshold (128 KiB until its sliding
+    rule lifts it) by a fresh mapping and unmaps it on free, so every trial
+    faulted its scratch back in, zeroed page by page.  Pinning the mmap
+    threshold at 32 MiB and the trim threshold at 64 MiB, the state the
+    sliding rule reaches after a 32 MiB block is freed, lets the next call
+    reuse the freed pages.  A libc without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _steady_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,6 +9,7 @@ and would break reproducibility).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -75,13 +76,18 @@ class PlantedInstance:
     index: int
 
 
+@functools.lru_cache(maxsize=4)
+def _upper(n: int) -> np.ndarray:
+    """Read-only mask of the pairs u < v, True in row-major pair order."""
+    mask = ~np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _er_matrix(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     adj = np.zeros((n, n), dtype=bool)
-    if n >= 2:
-        us, vs = np.triu_indices(n, 1)
-        keep = rng.random(len(us)) < p
-        adj[us[keep], vs[keep]] = True
-        adj |= adj.T
+    adj[_upper(n)] = rng.random(n * (n - 1) // 2) < p
+    adj |= adj.T
     return adj
 
 
@@ -106,10 +112,9 @@ def sample_planted(
     s = as_seed(seed)
     adj = _er_matrix(n, p, s.stream("er", index))
     clique = uniform_subset(n, kappa, s.stream("planted-clique", index))
-    for a in clique:
-        for b in clique:
-            if a != b:
-                adj[a, b] = True
+    members = np.array(clique)
+    adj[np.ix_(members, members)] = True
+    adj[members, members] = False
     return PlantedInstance(
         graph=Graph.from_bool_matrix(adj),
         clique=clique,
@@ -141,13 +146,31 @@ def planted_kappa(n: int, delta) -> int:
 
 def uniform_subset(n: int, size: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform size-subset of range(n) by Fisher-Yates prefix."""
+    return uniform_subsets(n, size, 1, rng)[0]
+
+
+def uniform_subsets(
+    n: int, size: int, count: int, rng: np.random.Generator
+) -> tuple[tuple[int, ...], ...]:
+    """count uniform size-subsets of range(n), each by Fisher-Yates prefix.
+
+    Swap i of a subset takes a position in i..n-1.  All count * size offsets
+    come from one rng.integers call over the bounds n, n-1, ..., n-size+1,
+    repeated count times; numpy draws an array of bounds one element after
+    the other, so the subsets, and the generator's state after them, are
+    those of count successive single draws (tests pin this).
+    """
     if not 0 <= size <= n:
         raise ValueError(f"size must lie in 0..{n}")
-    arr = list(range(n))
-    for i in range(size):
-        j = i + int(rng.integers(0, n - i))
-        arr[i], arr[j] = arr[j], arr[i]
-    return tuple(sorted(arr[:size]))
+    offsets = rng.integers(0, np.tile(np.arange(n, n - size, -1), count)).tolist()
+    subsets = []
+    for c in range(count):
+        moved: dict[int, int] = {}  # the positions swapped so far, and their values
+        for i, j in enumerate(offsets[c * size : (c + 1) * size]):
+            j += i
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        subsets.append(tuple(sorted(moved[i] for i in range(size))))
+    return tuple(subsets)
 
 
 def expected_er_edges(n: int, p: float) -> float:

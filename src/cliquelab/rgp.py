@@ -194,11 +194,13 @@ def check_edge_rule(g: Graph, fam: SubsetFamily, product: Graph) -> EdgeRuleRepo
     u's closed neighborhood: the pairs inside set i (R_i), those inside set j
     (R_j), and those from set i to set j.  The union induces a clique iff the
     count is zero.  The count is assembled from dense float32 matrix products,
-    sharing no code with product_graph's row build; a set with R_i > 0 is no
-    clique, so its row is expected empty and skips the product.  Each chunk of
-    expected rows is packed into little-endian bytes and compared with the
-    product's rows as bytes, so the product is never unpacked; only rows that
-    differ are unpacked, to list their violations in row-major order.
+    sharing no code with product_graph's row build.  A set with R_i > 0 is no
+    clique, so its row must be empty, and it is checked on the product's
+    packed bytes alone.  Only the rows of clique sets are multiplied out, in
+    blocks of at most 1 MiB of float32 scratch; each block is packed into
+    little-endian bytes and XORed into a copy of the product's packed rows.
+    The copy then holds a set bit at each violation of either kind of row, in
+    row-major order, and only the rows holding the first 50 are unpacked.
     """
     if fam.source_n != g.n or product.n != fam.N:
         raise ValueError("mismatched source graph, family, or product")
@@ -209,29 +211,26 @@ def check_edge_rule(g: Graph, fam: SubsetFamily, product: Graph) -> EdgeRuleRepo
     F = (~closed).astype(np.float32)
     D = B @ F  # D[i, v] = how many members of set i forbid v
     R = (B * D).sum(axis=1)
-    got = packed_rows(product.rows, N)
-    violations = 0
-    sample: list[tuple[int, int, bool, bool]] = []
-    chunk = max(1, (1 << 22) // max(N, 1))
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        # every term is a sum of non-negative counts, so == 0 is exact in float32
-        cliques = np.flatnonzero(R[lo:hi] == 0.0)
-        S = D[lo + cliques] @ B.T
+    # every term is a sum of non-negative counts, so == 0 is exact in float32
+    cliques = np.flatnonzero(R == 0.0)
+    diff = packed_rows(product.rows, N).copy()  # expected XOR got, once filled in
+    block = max(1, (1 << 18) // max(N, 1))  # rows per 1 MiB of float32
+    for lo in range(0, cliques.size, block):
+        rows = cliques[lo : lo + block]
+        S = D[rows] @ B.T
         S += R[None, :]
-        expected = np.zeros((hi - lo, N), dtype=bool)
-        expected[cliques] = S == 0.0
-        expected[np.arange(hi - lo), np.arange(lo, hi)] = False
-        packed = np.packbits(expected, axis=1, bitorder="little")
-        packed ^= got[lo:hi]
-        differ = np.flatnonzero(packed.any(axis=1))
-        if differ.size:
-            # the differing bits of the differing rows, in row-major order
-            a, b = np.nonzero(np.unpackbits(packed[differ], axis=1, count=N, bitorder="little"))
-            violations += a.size
-            for i, j in zip(differ[a[: 50 - len(sample)]].tolist(), b.tolist()):
-                want = bool(expected[i, j])
-                sample.append((i + lo, j, want, not want))
+        expected = S == 0.0
+        expected[np.arange(rows.size), rows] = False
+        diff[rows] ^= np.packbits(expected, axis=1, bitorder="little")
+    differ = np.flatnonzero(diff.any(axis=1))
+    per_row = np.bitwise_count(diff[differ]).sum(axis=1)
+    head = differ[: int(np.searchsorted(np.cumsum(per_row), 50)) + 1]
+    a, b = np.nonzero(np.unpackbits(diff[head], axis=1, count=N, bitorder="little"))
+    sample = []
+    for i, j in zip(head[a[:50]].tolist(), b[:50].tolist()):
+        got = bool(product.rows[i] >> j & 1)
+        sample.append((i, j, not got, got))
+    violations = int(per_row.sum())
     return EdgeRuleReport(
         ok=violations == 0,
         pairs_checked=N * (N - 1) // 2,

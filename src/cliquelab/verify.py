@@ -30,7 +30,7 @@ from .ensembles import (
     planted_kappa,
     sample_er,
     sample_planted,
-    uniform_subset,
+    uniform_subsets,
 )
 from .exactmath import binom_cdf
 from .graph import Graph
@@ -299,8 +299,7 @@ def verify_soundness_structure(
         edge_report = check_edge_rule(g, fam, product)
         rng = seed.stream("soundness-j", i)
         contained = True
-        for _ in range(j_samples):
-            J = uniform_subset(N, min(j_size, N), rng)
+        for J in uniform_subsets(N, min(j_size, N), j_samples, rng):
             sub_edges = [(a, b) for a, b in combinations(J, 2) if product.has_edge(a, b)]
             implied = implied_edges(fam, sub_edges)
             contained &= all(g.has_edge(u, v) for u, v in implied)

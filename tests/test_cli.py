@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import platform
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -50,6 +54,33 @@ def test_solve_missing_required_flag(tmp_path, capsys):
 
 def test_solve_missing_input_file(tmp_path):
     assert main(["solve", "max-clique", "--in", str(tmp_path / "nope.txt")]) == 1
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_main_keeps_freed_scratch_in_the_heap():
+    # A fresh process, so that no earlier free has lifted glibc's sliding mmap
+    # threshold.  The first 1 MiB array grows the heap; with main()'s policy the
+    # next two reuse its pages, where the default maps and faults in each anew.
+    code = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from cliquelab.cli import main
+
+        assert main(["--version"]) == 0
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            scratch = np.ones(1 << 20, dtype=np.uint8)
+            del scratch
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(sum(faults[1:]))
+        """
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert int(run.stdout.split()[-1]) < 16
 
 
 def test_main_answers_as_a_fresh_parser_when_it_reuses_one(tmp_path, capsys):

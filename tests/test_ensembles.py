@@ -17,6 +17,7 @@ from cliquelab.ensembles import (
     sample_pattern,
     sample_planted,
     uniform_subset,
+    uniform_subsets,
 )
 
 
@@ -108,6 +109,26 @@ def test_uniform_subset_shape():
     assert len(got) == len(set(got)) == 4
     assert got == tuple(sorted(got))
     assert all(0 <= v < 10 for v in got)
+
+
+def _uniform_subset_per_draw(n: int, size: int, rng) -> tuple[int, ...]:
+    """The Fisher-Yates prefix with one rng.integers call per swap."""
+    arr = list(range(n))
+    for i in range(size):
+        j = i + int(rng.integers(0, n - i))
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(sorted(arr[:size]))
+
+
+@pytest.mark.parametrize("n, size", [(500, 6), (60, 20), (7, 7), (9, 0)])
+def test_batched_subsets_equal_the_per_draw_sequence(n, size):
+    # pins numpy's element-by-element draw over an array of bounds, which
+    # the one rng.integers call of uniform_subsets relies on
+    for seed in range(50):
+        batched, per_draw = as_seed(seed).stream("t", 0), as_seed(seed).stream("t", 0)
+        got = uniform_subsets(n, size, 20, batched)
+        assert got == tuple(_uniform_subset_per_draw(n, size, per_draw) for _ in range(20))
+        assert batched.integers(0, 2**40) == per_draw.integers(0, 2**40)
 
 
 def test_generator_id_mentions_numpy():

@@ -241,6 +241,25 @@ def test_edge_rule_checker_reports_as_the_checker_of_every_row_in_a_partial_last
         assert rep == _check_edge_rule_reference(g, fam, bad)
 
 
+def test_edge_rule_checker_merges_both_kinds_of_row_in_row_major_order():
+    # at N = 2100 the checker multiplies clique rows in blocks of 124; flips in
+    # every 41st row put non-clique rows between clique rows of several blocks
+    g = random_graph(8, 0.5, random.Random(5))
+    prod, fam = rgp(g, 2100, 2, 5)
+    clique_rows = [i for i, s in enumerate(fam.sets) if g.is_clique(s)]
+    rows = list(prod.rows)
+    for i in range(0, 2100, 41):
+        rows[i] ^= 1 << (7 * i + 3) % 2100
+    bad = Graph._from_rows(2100, tuple(rows))
+    rep = check_edge_rule(g, fam, bad)
+    assert rep == _check_edge_rule_reference(g, fam, bad)
+    assert rep.violation_count == 26 and len(rep.sample) == 50
+    sampled = [i for i, *_ in rep.sample]
+    in_cliques = [i for i in sampled if i in clique_rows]
+    assert len({clique_rows.index(i) // 124 for i in in_cliques}) >= 3
+    assert any(in_cliques[0] < i < in_cliques[-1] for i in sampled if i not in clique_rows)
+
+
 def test_implied_edges_are_source_edges():
     rng = random.Random(11)
     for _ in range(10):
