@@ -9,7 +9,10 @@ feasibility check before being handed back.
 
 Every search runs on one driver, _search, which keeps its suspended nodes on a
 stack: no search depth is bound by the interpreter's recursion limit, and the
-driver's one check_budget() poll per node is the search's node count.
+driver's one check_budget() poll per node is the search's node count.  Nodes
+talk one way: a node yields its children's arguments, or STOP to end the whole
+search, and the driver sends nothing back; answers live in the search's own
+locals.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Generator, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,28 +29,31 @@ from .errors import BudgetExceeded, InfeasibleError, PatternSearchTimeout
 from .graph import Graph, Hypergraph, WeightedDigraph, _bits
 
 
-def _search(node: Callable[..., Generator[tuple, Any, Any]], *root: Any) -> Any:
-    """Run the depth-first search rooted at node(*root); return the root's value.
+STOP = object()  # a node yields it to end the whole search
 
-    A node is a generator: it yields the argument tuple of each child in turn,
-    is sent back that child's value, and returns its own.  check_budget()
-    counts each node as it starts, the root included.
+
+def _search(node: Callable[..., Iterator[Any]], *root: Any) -> bool:
+    """Run the depth-first search rooted at node(*root); return True if a
+    node yielded STOP, False if the search ran to the end.
+
+    A node is a generator: it yields the argument tuple of each child in
+    turn, or STOP, and returns nothing; the driver sends nothing back.
+    check_budget() counts each node as it starts, the root included.  The
+    nodes a STOP leaves suspended are closed when the stack is freed.
     """
     poll = check_budget
-    poll()
-    stack = [node(*root)]
-    value = None
-    while stack:
-        try:
-            args = stack[-1].send(value)
-        except StopIteration as done:
+    stack = []
+    args = root
+    while args is not STOP:
+        if args is None:  # the top node returned
             stack.pop()
-            value = done.value
+            if not stack:
+                return False
         else:
             poll()
             stack.append(node(*args))
-            value = None
-    return value
+        args = next(stack[-1], None)
+    return True
 
 
 # -- cliques -------------------------------------------------------------------
@@ -86,7 +92,7 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
         nonlocal best, bar
         depth = len(clique)
         if depth + candidates.bit_count() <= bar:
-            return False  # the colour bound is at most the candidate count
+            return  # the colour bound is at most the candidate count
         colors = tops = 0
         remaining = candidates
         while remaining:
@@ -98,13 +104,15 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
             tops |= low  # the last vertex taken is the class's top
             colors += 1
             if depth + colors + remaining.bit_count() <= bar:
-                return False
+                return
         if tops == candidates:  # all classes single: a clique, taken whole
             take = bar + 1 - depth if first else colors
             check_budget(take - 1)
             best = clique + _bits(candidates)[:take]
             bar = len(best)
-            return first
+            if first:
+                yield STOP
+            return
         rest = candidates
         while rest:
             low = rest & -rest
@@ -116,16 +124,15 @@ def _clique_above(rows: Sequence[int], candidates: int, floor: int, first: bool)
                 best = clique.copy()
                 bar = len(best)
                 if first:
-                    return True
-            if nxt and (yield (nxt,)):
-                return True
+                    yield STOP
+            if nxt:
+                yield (nxt,)
             clique.pop()
             # exclude v: the bound drops once its class empties
             if tops & low:
                 colors -= 1
             if depth + colors <= bar:
-                return False
-        return False
+                return
 
     _search(node, candidates)
     return best
@@ -223,22 +230,21 @@ def _most_edges(
             if edges > best_edges:
                 best_edges = edges
                 best_set = tuple(chosen)
-                return first
-            return False
+                if first:
+                    yield STOP
+            return
         r = size - len(chosen)
         for v in range(start, n):
             # bound the branches that take the r vertices still owed from v
             # on; it can only drop as each v is excluded in turn
             if n - v < r:
-                return False
+                return
             gains = sorted(((rows[w] & mask).bit_count() for w in range(v, n)), reverse=True)
             if edges + sum(gains[:r]) + r * (r - 1) // 2 <= best_edges:
-                return False
+                return
             chosen.append(v)
-            if (yield mask | (1 << v), edges + (rows[v] & mask).bit_count(), v + 1):
-                return True
+            yield mask | (1 << v), edges + (rows[v] & mask).bit_count(), v + 1
             chosen.pop()
-        return False
 
     _search(node, 0, 0, 0)
     return None if best_set is None else (best_set, best_edges)
@@ -343,22 +349,26 @@ def _biclique_sides(
     them.  Stop at the first true value visit returns, and return it."""
     n = len(rows)
     chosen: list[int] = []
+    found = None
 
     def node(common: int, start: int):
+        nonlocal found
         if len(chosen) == t:
-            return visit(tuple(chosen), common)
+            found = visit(tuple(chosen), common)
+            if found:
+                yield STOP
+            return
         for v in range(start, n - t + len(chosen) + 1):  # room for the rest of the side
             nxt = common & rows[v]
             # the common set only shrinks along a branch
             if nxt.bit_count() < t:
                 continue
             chosen.append(v)
-            found = yield nxt, v + 1
-            if found:
-                return found
+            yield nxt, v + 1
             chosen.pop()
 
-    return _search(node, (1 << n) - 1, 0)
+    _search(node, (1 << n) - 1, 0)
+    return found
 
 
 def _find_balanced_biclique(g: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -756,7 +766,7 @@ def detect_pattern(g: Graph, h: Graph, induced: bool) -> tuple[int, ...] | None:
 
     def node(depth: int, free: int):
         if depth == h.n:
-            return True
+            yield STOP
         hv = order[depth]
         need = h.degree(hv)
         candidates = free
@@ -772,9 +782,7 @@ def detect_pattern(g: Graph, h: Graph, induced: bool) -> tuple[int, ...] | None:
             if rows[gv].bit_count() < need:
                 continue
             image[hv] = gv
-            if (yield depth + 1, free ^ low):
-                return True
-        return False
+            yield depth + 1, free ^ low
 
     try:
         with budget(None, "pattern search"):

@@ -1,6 +1,6 @@
 """Static checks on the package source: its declared runtime dependencies are
 the ones its code imports, every import is used, and its searches do not
-recurse."""
+recurse and return no value."""
 
 from __future__ import annotations
 
@@ -61,6 +61,26 @@ def test_no_search_function_calls_itself():
                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                 }
                 assert fn.name not in called, f"{module}: {fn.name} calls itself"
+
+
+def test_search_nodes_return_no_value():
+    # oracles._search reads no node's return value, so one would be dropped
+    # silently; a node ends the search by yielding STOP instead
+    for module in ("oracles.py", "rgp.py"):
+        tree = ast.parse((PACKAGE / module).read_text(), module)
+        nodes = [
+            inner
+            for outer in ast.walk(tree)
+            if isinstance(outer, ast.FunctionDef)
+            for inner in ast.walk(outer)
+            if isinstance(inner, ast.FunctionDef) and inner is not outer
+            and inner.name == "node"
+        ]
+        assert nodes, f"{module}: no search node found"
+        for fn in nodes:
+            for ret in ast.walk(fn):
+                if isinstance(ret, ast.Return):
+                    assert ret.value is None, f"{module}:{ret.lineno}: a node returns a value"
 
 
 def test_every_import_is_used():

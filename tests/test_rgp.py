@@ -400,6 +400,17 @@ def test_disperser_passes_disjoint_family():
     assert rep.violation_count == 0
 
 
+def test_disperser_cannot_fail_when_delta_t_ell_is_at_most_100():
+    # every non-empty union has a vertex, and at criterion 3's delta = 1/2,
+    # T = 4, ell = 2 every threshold delta*t*ell/100 is at most 1: the most
+    # degenerate family passes
+    fam = SubsetFamily(source_n=100, ell=2, sets=((0,),) * 200)
+    rep = check_disperser(fam, Fraction(1, 2), 4)
+    assert rep.ok
+    assert rep.violation_count == 0
+    assert rep.worst_ratio == Fraction(1, 4)  # a pair: 1 vertex over 2 * ell
+
+
 def test_disperser_sampled_mode_agrees_on_pass():
     fam = sample_family(50, 40, 2, 9)
     ex = check_disperser(fam, Fraction(1, 2), 4)

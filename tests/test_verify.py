@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,15 @@ def test_den_mean_confidence_shrinks():
     lo2, hi2 = den_mean_confidence(_den_report([1.0, 1.5, 1.25, 1.5, 1.0] * 40))
     assert hi2 - lo2 < hi1 - lo1
     assert lo1 < 1.25 < hi1
+
+
+def test_den_mean_confidence_is_the_99_percent_interval():
+    values = [1.0, 1.5, 1.25, 1.5, 1.0] * 4  # mean 1.25, squared deviations sum to 1
+    lo, hi = den_mean_confidence(_den_report(values))
+    assert (lo + hi) / 2 == pytest.approx(1.25)
+    assert (hi - lo) / 2 == pytest.approx(2.5758 * math.sqrt(1 / 19 / 20))
+    with pytest.raises(TypeError):
+        den_mean_confidence(_den_report(values), conf=0.95)  # the only level is 99%
 
 
 # -- report plumbing -----------------------------------------------------------------
